@@ -48,16 +48,16 @@ from .restrictions import (
 from .builder import (
     ClassInput,
     add_constraints,
+    add_mandatory,
     ambiguous_system,
     class_input,
     closure_system,
+    restriction_equation,
 )
 from .disambiguator import (
     IterationLimitError,
-    add_mandatory,
     disambiguate_equation,
     disambiguate_system,
-    restriction_equation,
 )
 from .engine import (
     CountTable,

@@ -7,10 +7,12 @@ then pushed from each equation's left side into the components of its
 terms, one excluded pattern at a time, through the embeddings of that
 pattern in the term's root: each embedding must be blocked in some slot,
 and every way of choosing a blocking slot per embedding yields one term
-whose components avoid the patterns pushed into them.  New restriction
-sets appearing on right sides get their own equations until the system
-closes; everything lives in the finite pattern closure of the basis, so
-this terminates.
+whose components avoid the patterns pushed into them.  Containment of a
+mandatory pattern is pushed down likewise, one summand per embedding;
+``restriction_equation`` does both and seeds every equation, here and in
+the disambiguator.  New restriction sets appearing on right sides get
+their own equations until the system closes; everything lives in the
+finite pattern closure of the basis, so this terminates.
 """
 
 from __future__ import annotations
@@ -97,10 +99,7 @@ def closure_system(simples: Iterable[Perm]) -> System:
     By uniqueness of the decomposition these unions are disjoint, so the
     result is already a combinatorial specification.
     """
-    simples_t = tuple(sorted(set(simples), key=perm_key))
-    for s in simples_t:
-        if not is_simple(s):
-            raise ValueError(f"not a simple permutation: {s}")
+    simples_t = class_input((), simples).simples
     equations = {}
     for flavor in (FLAVOR_ALL, FLAVOR_SUM_INDEC, FLAVOR_SKEW_INDEC):
         lhs = Restriction(flavor)
@@ -108,10 +107,6 @@ def closure_system(simples: Iterable[Perm]) -> System:
             lhs, True, closure_terms(flavor, simples_t), MODE_DISJOINT)
     return System(root=Restriction(FLAVOR_ALL), equations=equations,
                   basis=(), simples=simples_t, mode=MODE_DISJOINT)
-
-
-def _with_avoid(r: Restriction, pattern: Perm) -> Restriction:
-    return Restriction(r.flavor, r.avoid + (pattern,), r.contain)
 
 
 def _push_avoidance(args: tuple[Restriction, ...], excluded: Perm,
@@ -129,10 +124,11 @@ def _push_avoidance(args: tuple[Restriction, ...], excluded: Perm,
         nxt: set[tuple[Restriction, ...]] = set()
         for prof in profiles:
             for slot in emb.nonempty_slots():
-                blocked = _with_avoid(prof[slot], emb.induced(excluded, slot))
-                if blocked.empty:
-                    continue
-                nxt.add(prof[:slot] + (blocked,) + prof[slot + 1:])
+                r = prof[slot]
+                blocked = Restriction(
+                    r.flavor, r.avoid + (emb.induced(excluded, slot),), r.contain)
+                if not blocked.empty:
+                    nxt.add(prof[:slot] + (blocked,) + prof[slot + 1:])
         profiles = nxt
         if not profiles:
             break
@@ -162,17 +158,45 @@ def add_constraints(term: Term, patterns: Iterable[Perm]) -> list[Term]:
     return sorted(out, key=term_key)
 
 
-def base_equation(flavor: str, patterns: Iterable[Perm],
-                  simples: Sequence[Perm]) -> Equation:
-    """The equation describing one flavor of the closure restricted to
-    avoiders of the given patterns."""
-    lhs = Restriction(flavor, tuple(patterns))
-    if lhs.empty:
-        return make_equation(lhs, False, (), MODE_AMBIGUOUS)
+def add_mandatory(term: Term, pattern: Perm) -> list[Term]:
+    """Rewrite a term restricted to permutations containing a pattern.
+
+    One summand per embedding of the pattern in the root: the components
+    hosting a nonempty block must contain the pattern induced on them.  The union
+    is exact but possibly ambiguous (an occurrence may realize several
+    embeddings); duplicates are merged and statically empty summands
+    dropped.
+    """
+    out = set()
+    for emb in embeddings(pattern, root_perm(term.root)):
+        args = list(term.args)
+        for slot in emb.nonempty_slots():
+            r = args[slot]
+            args[slot] = Restriction(
+                r.flavor, r.avoid, r.contain + (emb.induced(pattern, slot),))
+            if args[slot].empty:
+                break
+        else:
+            out.add(Term(term.root, tuple(args)))
+    return sorted(out, key=term_key)
+
+
+def restriction_equation(r: Restriction, simples: Iterable[Perm]) -> Equation:
+    """An equation describing one restriction, in possibly ambiguous form.
+
+    Starts from the closure shape of the restriction's flavor, pushes every
+    avoided pattern down, then every mandatory pattern.  The atom survives
+    only when the size-1 permutation itself satisfies the restriction,
+    i.e. when no pattern is mandatory.
+    """
+    if r.empty:
+        raise ValueError(f"no equation for statically empty {r.name()}")
     terms: list[Term] = []
-    for t in closure_terms(flavor, simples):
-        terms.extend(add_constraints(t, lhs.avoid))
-    return make_equation(lhs, True, terms, MODE_AMBIGUOUS)
+    for base in closure_terms(r.flavor, tuple(simples)):
+        terms.extend(add_constraints(base, r.avoid))
+    for mandatory in r.contain:
+        terms = [t2 for t in terms for t2 in add_mandatory(t, mandatory)]
+    return make_equation(r, not r.contain, terms, MODE_AMBIGUOUS)
 
 
 def ambiguous_system(ci: ClassInput) -> System:
@@ -190,7 +214,9 @@ def ambiguous_system(ci: ClassInput) -> System:
     queued = set(pending)
     while pending:
         lhs = pending.pop(0)
-        eq = base_equation(lhs.flavor, lhs.avoid, ci.simples)
+        # Only the seeds can be statically empty, when the basis is {1}.
+        eq = (make_equation(lhs, False, (), MODE_AMBIGUOUS) if lhs.empty
+              else restriction_equation(lhs, ci.simples))
         equations[lhs] = eq
         for t in eq.terms:
             for comp in t.args:

@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .perms import Perm, avoids, is_simple, minimal_patterns, perm_key
+from .perms import Perm, minimal_patterns
 from .simples import DEFAULT_SIMPLES_CAP, SimplesResult, compute_simples
 from .builder import ambiguous_system, class_input
 from .disambiguator import IterationLimitError, disambiguate_system
@@ -134,15 +134,9 @@ def _load_simples(args, basis) -> SimplesResult:
                 perms = read_perm_lines(handle.read())
         except OSError as exc:
             raise InvalidInputError(f"cannot read simples file: {exc}") from None
-        for p in perms:
-            if not is_simple(p):
-                raise InvalidInputError(f"not a simple permutation: {p}")
-            if not avoids(p, basis):
-                raise InvalidInputError(
-                    f"simple permutation {p} contains a basis element")
+        found = class_input(basis, perms).simples
         print("warning: using simple permutations from "
               f"{args.simples}; search skipped", file=sys.stderr)
-        found = tuple(sorted(set(perms), key=perm_key))
         return SimplesResult(found, True, max((len(p) for p in found), default=4))
     cap = args.cap if args.cap is not None else _env_int(
         "PERMSPEC_CAP", DEFAULT_SIMPLES_CAP)
@@ -157,16 +151,19 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _require_complete(result: SimplesResult) -> None:
+def _ambiguous(args):
+    """The class's ambiguous system, from the basis and the simples."""
+    basis = _load_basis(args.basis)
+    result = _load_simples(args, basis)
     if not result.complete:
         print(f"error: simple-permutation search {result.status}; "
               "rerun with a higher --cap or supply --simples", file=sys.stderr)
         raise SystemExit(EXIT_TRUNCATED)
+    return ambiguous_system(class_input(basis, result.simples))
 
 
-def _specification(args, basis, result):
-    _require_complete(result)
-    system = ambiguous_system(class_input(basis, result.simples))
+def _specification(args):
+    system = _ambiguous(args)
     if getattr(args, "ambiguous", False):
         return system
     return disambiguate_system(system)
@@ -192,16 +189,14 @@ def _cmd_simples(args) -> int:
 
 
 def _cmd_spec(args) -> int:
-    basis = _load_basis(args.basis)
-    system = _specification(args, basis, _load_simples(args, basis))
+    system = _specification(args)
     _emit(args, dump_json(system_json(system)) if args.json
           else serialize_system(system))
     return EXIT_OK
 
 
 def _cmd_count(args) -> int:
-    basis = _load_basis(args.basis)
-    system = _specification(args, basis, _load_simples(args, basis))
+    system = _specification(args)
     depth = args.N if args.N is not None else _env_int(
         "PERMSPEC_N", DEFAULT_COUNT_DEPTH)
     table = count_coefficients(system, depth)
@@ -216,8 +211,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    basis = _load_basis(args.basis)
-    system = _specification(args, basis, _load_simples(args, basis))
+    system = _specification(args)
     gf = emit_gf_equations(system)
     if args.json:
         _emit(args, dump_json({
@@ -243,8 +237,7 @@ def _cmd_sample(args) -> int:
         raise InvalidInputError("sample size must be >= 1")
     if args.count < 1:
         raise InvalidInputError("sample count must be >= 1")
-    basis = _load_basis(args.basis)
-    system = _specification(args, basis, _load_simples(args, basis))
+    system = _specification(args)
     window = _parse_window(args.window) if args.window else (args.n, args.n)
     depth = max(args.n, window[1])
     table = count_coefficients(system, depth)
@@ -267,10 +260,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    basis = _load_basis(args.basis)
-    result = _load_simples(args, basis)
-    _require_complete(result)
-    amb = ambiguous_system(class_input(basis, result.simples))
+    amb = _ambiguous(args)
     dis = disambiguate_system(amb)
     report = run_check(amb, dis, args.max_size)
     if args.json:

@@ -6,26 +6,24 @@ nonempty subset of the group: the members of that subset intersected with
 the complements of the rest.  Complementing flips avoidance constraints
 into containment constraints, which is what restrictions with mandatory
 patterns are for.  Restrictions appearing on right sides only then receive
-equations of their own: the closure shape with avoidance pushed down as in
-the builder, followed by containment pushed down through the embeddings of
-each mandatory pattern in the root (one summand per embedding).  The new
-equations may again be ambiguous; the loop continues until the system is
-closed and every equation is disjoint, which happens after finitely many
-rounds because every constraint pattern lives in the pattern closure of
-the basis.
+equations of their own from the builder's ``restriction_equation``: the
+closure shape with avoidance pushed down, followed by containment pushed
+down through the embeddings of each mandatory pattern in the root (one
+summand per embedding).  The new equations may again be ambiguous; the
+loop continues until the system is closed and every equation is disjoint,
+which happens after finitely many rounds because every constraint pattern
+lives in the pattern closure of the basis.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from dataclasses import replace
 
-from .perms import Perm, embeddings, root_perm
 from .restrictions import (
     MODE_AMBIGUOUS,
     MODE_DISJOINT,
     Equation,
-    Restriction,
     System,
     Term,
     intersect_terms,
@@ -34,7 +32,7 @@ from .restrictions import (
     restriction_key,
     term_key,
 )
-from .builder import add_constraints, closure_terms
+from .builder import restriction_equation
 
 # Hard ceiling on system growth; hitting it signals a bug, not a big input.
 MAX_EQUATIONS = 50_000
@@ -42,52 +40,6 @@ MAX_EQUATIONS = 50_000
 
 class IterationLimitError(RuntimeError):
     """Safety valve for runaway disambiguation."""
-
-
-def _with_contain(r: Restriction, pattern: Perm) -> Restriction:
-    return Restriction(r.flavor, r.avoid, r.contain + (pattern,))
-
-
-def add_mandatory(term: Term, pattern: Perm) -> list[Term]:
-    """Rewrite a term restricted to permutations containing a pattern.
-
-    One summand per embedding of the pattern in the root: the components
-    hosting a nonempty block must contain the pattern induced on them.  The union
-    is exact but possibly ambiguous (an occurrence may realize several
-    embeddings); duplicates are merged and statically empty summands
-    dropped.
-    """
-    out = set()
-    for emb in embeddings(pattern, root_perm(term.root)):
-        args = list(term.args)
-        dead = False
-        for slot in emb.nonempty_slots():
-            forced = _with_contain(args[slot], emb.induced(pattern, slot))
-            if forced.empty:
-                dead = True
-                break
-            args[slot] = forced
-        if not dead:
-            out.add(Term(term.root, tuple(args)))
-    return sorted(out, key=term_key)
-
-
-def restriction_equation(r: Restriction, simples: Iterable[Perm]) -> Equation:
-    """An equation describing one restriction, in possibly ambiguous form.
-
-    Starts from the closure shape of the restriction's flavor, pushes every
-    avoided pattern down, then every mandatory pattern.  The atom survives
-    only when the size-1 permutation itself satisfies the restriction,
-    i.e. when no pattern is mandatory.
-    """
-    if r.empty:
-        raise ValueError(f"no equation for statically empty {r.name()}")
-    terms: list[Term] = []
-    for base in closure_terms(r.flavor, tuple(simples)):
-        terms.extend(add_constraints(base, r.avoid))
-    for mandatory in r.contain:
-        terms = [t2 for t in terms for t2 in add_mandatory(t, mandatory)]
-    return make_equation(r, not r.contain, terms, MODE_AMBIGUOUS)
 
 
 def _expand_group(terms: list[Term]) -> list[Term]:
@@ -160,15 +112,15 @@ def disambiguate_system(system: System) -> System:
     and add equations for restrictions that occur on a right side only.
     The root and its members are unchanged.
     """
-    equations = dict(system.equations)
+    work = replace(system, equations=dict(system.equations),
+                   mode=MODE_AMBIGUOUS)
+    equations = work.equations
     while True:
         pending = sorted((lhs for lhs, eq in equations.items()
                           if eq.mode == MODE_AMBIGUOUS), key=restriction_key)
         for lhs in pending:
             equations[lhs] = disambiguate_equation(equations[lhs])
-        missing = sorted({a for eq in equations.values()
-                          for t in eq.terms for a in t.args
-                          if a not in equations}, key=restriction_key)
+        missing = work.right_only()
         if not pending and not missing:
             break
         for lhs in missing:
@@ -176,5 +128,5 @@ def disambiguate_system(system: System) -> System:
         if len(equations) > MAX_EQUATIONS:
             raise IterationLimitError(
                 f"system grew past {MAX_EQUATIONS} equations")
-    return System(root=system.root, equations=equations, basis=system.basis,
-                  simples=system.simples, mode=MODE_DISJOINT)
+    work.mode = MODE_DISJOINT
+    return work

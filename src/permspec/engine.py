@@ -2,16 +2,20 @@
 
 A disjoint system translates directly: the atom becomes z, disjoint union
 becomes a sum, and inflating a root by components becomes a product of
-their series.  Coefficients are computed by exact integer dynamic
-programming over the size: every term has at least two components of size
-at least one each, so a coefficient at size n only needs component
-coefficients at sizes strictly below n and no fixpoint iteration is
-needed.
+their series.  Coefficients are exact integers, filled one size at a time
+with no fixpoint iteration.  Each term keeps suffix rows: row i holds, for
+every total size, the ways its components i.. sum to that size, which is
+component i's counts convolved with row i+1.  Every component has size at
+least one, so at size n each convolved row needs only entries below n;
+the term's count at n is its row 0, and a nonterminal's count at n is its
+atom plus the row-0 entries of its terms.  The uniform sampler draws
+component sizes from these same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .restrictions import (
     MODE_DISJOINT,
@@ -19,7 +23,6 @@ from .restrictions import (
     Restriction,
     System,
     Term,
-    restriction_key,
 )
 
 DEFAULT_COUNT_DEPTH = 40
@@ -46,18 +49,12 @@ class GfSystem:
         return "\n".join(eq.render() for eq in self.equations)
 
 
-def _ordered_lhs(system: System) -> list[Restriction]:
-    rest = sorted((r for r in system.equations if r != system.root),
-                  key=restriction_key)
-    return ([system.root] if system.root in system.equations else []) + rest
-
-
 def emit_gf_equations(system: System) -> GfSystem:
     """The generating-function equations of a combinatorial specification."""
     if system.mode != MODE_DISJOINT:
         raise ValueError("generating functions need a disjoint system")
     out = []
-    for lhs in _ordered_lhs(system):
+    for lhs in system.ordered_lhs():
         eq = system.equations[lhs]
         products = tuple(tuple(a.name() for a in t.args) for t in eq.terms)
         out.append(GfEquation(lhs.name(), eq.has_atom, products))
@@ -65,10 +62,15 @@ def emit_gf_equations(system: System) -> GfSystem:
 
 
 class CountTable:
-    """Exact coefficients per nonterminal up to a size bound.
+    """Exact coefficients per nonterminal up to a size bound, and the
+    suffix rows of every term, filled together one size at a time.
 
-    Also serves the sampler: for each term it can produce the table of
-    suffix convolutions needed to draw component sizes one at a time.
+    For a term with components a_0..a_{k-1}, row ``i`` holds the ways
+    components i.. sum to each total size: row k is 1 at size 0, row k-1
+    is the count list of a_{k-1} itself (the same list object), and row
+    i < k-1 is the convolution of a_i's counts with row i+1.  Row 0 is the
+    term's own count.  The sampler reads the same rows to split a size
+    across the components.
     """
 
     def __init__(self, system: System, depth: int):
@@ -82,34 +84,21 @@ class CountTable:
         self.depth = depth
         self.counts: dict[Restriction, list[int]] = {
             r: [0] * (depth + 1) for r in system.equations}
-        self._suffixes: dict[Term, list[list[int]]] = {}
+        unit = [1] + [0] * depth
+        self._suffixes: dict[Term, list[list[int]]] = {
+            t: [[0] * (depth + 1) for _ in t.args[:-1]]
+            + [self.counts[t.args[-1]], unit]
+            for eq in system.equations.values() for t in eq.terms}
         for n in range(1, depth + 1):
+            # Every component has size >= 1, so the rows that are not
+            # count rows need only coefficients below n.
+            for t, rows in self._suffixes.items():
+                for i in range(len(t.args) - 2, -1, -1):
+                    rows[i][n] = sum(map(
+                        mul, self.counts[t.args[i]][1:n], rows[i + 1][n - 1:0:-1]))
             for r, eq in system.equations.items():
-                total = 1 if (eq.has_atom and n == 1) else 0
-                for t in eq.terms:
-                    total += self._term_count_at(t, n)
-                self.counts[r][n] = total
-
-    def _term_count_at(self, term: Term, n: int) -> int:
-        k = len(term.args)
-        if n < k:
-            return 0
-        ways = [0] * (n + 1)
-        ways[0] = 1
-        for idx, comp in enumerate(term.args):
-            remaining = k - idx - 1
-            comp_counts = self.counts[comp]
-            nxt = [0] * (n + 1)
-            for s in range(idx, n - remaining):
-                w = ways[s]
-                if not w:
-                    continue
-                for m in range(1, n - remaining - s + 1):
-                    c = comp_counts[m]
-                    if c:
-                        nxt[s + m] += w * c
-            ways = nxt
-        return ways[n]
+                self.counts[r][n] = (1 if eq.has_atom and n == 1 else 0) + sum(
+                    self._suffixes[t][0][n] for t in eq.terms)
 
     def count(self, r: Restriction, n: int) -> int:
         if n > self.depth:
@@ -125,24 +114,7 @@ class CountTable:
 
     def suffix_tables(self, term: Term) -> list[list[int]]:
         """``tables[i][r]``: ways components i.. sum to total size r."""
-        cached = self._suffixes.get(term)
-        if cached is not None:
-            return cached
-        k = len(term.args)
-        tables = [[0] * (self.depth + 1) for _ in range(k + 1)]
-        tables[k][0] = 1
-        for i in reversed(range(k)):
-            comp_counts = self.counts[term.args[i]]
-            for r in range(1, self.depth + 1):
-                total = 0
-                for m in range(1, r + 1):
-                    c = comp_counts[m]
-                    nxt = tables[i + 1][r - m]
-                    if c and nxt:
-                        total += c * nxt
-                tables[i][r] = total
-        self._suffixes[term] = tables
-        return tables
+        return self._suffixes[term]
 
     def term_count(self, term: Term, n: int) -> int:
         return self.suffix_tables(term)[0][n]

@@ -252,24 +252,40 @@ class DecompTree:
     children: tuple["DecompTree", ...] = ()
 
 
+def _fold(node, children, combine):
+    """``combine(node, [values of its children])`` over a tree, bottom up.
+
+    Uses an explicit stack: trees of permutations nest as deep as the
+    size (the identity, say), past any recursion limit.
+    """
+    stack = [(node, children(node), [])]
+    while True:
+        node, kids, done = stack[-1]
+        if len(done) < len(kids):
+            stack.append((kids[len(done)], children(kids[len(done)]), []))
+            continue
+        stack.pop()
+        value = combine(node, done)
+        if not stack:
+            return value
+        stack[-1][2].append(value)
+
+
 def decompose(perm: Perm) -> DecompTree:
     """The canonical decomposition tree of a permutation.
 
     First children of 12 (resp. 21) nodes are never themselves 12 (resp. 21)
     rooted, and ``rebuild(decompose(perm)) == perm``.
     """
-    root, parts = top_split(perm)
-    if root is None:
-        return DecompTree(None)
-    return DecompTree(root, tuple(decompose(part) for part in parts))
+    return _fold(perm, lambda p: top_split(p)[1],
+                 lambda p, kids: DecompTree(top_split(p)[0], tuple(kids)))
 
 
 def rebuild(tree: DecompTree) -> Perm:
     """Reassemble the permutation a decomposition tree describes."""
-    if tree.root is None:
-        return Perm((1,))
-    parts = [rebuild(child) for child in tree.children]
-    return substitute(root_perm(tree.root), parts)
+    return _fold(tree, lambda t: t.children,
+                 lambda t, parts: Perm((1,)) if t.root is None
+                 else substitute(root_perm(t.root), parts))
 
 
 def tree_text(tree: DecompTree) -> str:

@@ -283,6 +283,12 @@ class System:
                    if a not in self.equations}
         return sorted(missing, key=restriction_key)
 
+    def ordered_lhs(self) -> list[Restriction]:
+        """Left sides in output order: the root first, the rest canonically."""
+        rest = sorted((r for r in self.equations if r != self.root),
+                      key=restriction_key)
+        return ([self.root] if self.root in self.equations else []) + rest
+
     def is_closed(self) -> bool:
         return not self.right_only() and self.root in self.equations
 

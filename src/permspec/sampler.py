@@ -1,11 +1,13 @@
 """Uniform random generation from a combinatorial specification.
 
 Exact-size sampling walks the specification with choices weighted by the
-exact coefficient tables: pick the atom or a term with probability
-proportional to its count at the current size, split the size across a
-term's components by sequential convolution weights, recurse, and
-assemble with substitution.  The result is exactly uniform over the
-class members of the requested size.
+exact coefficient tables (the recursive method): pick the atom or a term
+with probability proportional to its count at the current size, split the
+size across a term's components by sequential convolution weights,
+recurse, and assemble with substitution.  The weights are read from the
+count engine's suffix rows (``CountTable.suffix_tables``), which counting
+fills anyway, so the sampler builds no table of its own.  The result is
+exactly uniform over the class members of the requested size.
 
 Size-randomized (Boltzmann) sampling replaces the counts by numeric
 series values at a parameter z inside the radius of convergence; the
@@ -102,7 +104,6 @@ def _draw_term(state: SamplerState, term: Term, n: int) -> Perm:
         else:
             u = state.rng.randrange(suffix[i][remaining])
             comp_counts = state.table.counts[comp]
-            size = 0
             for m in range(1, remaining - (k - 1 - i) + 1):
                 w = comp_counts[m] * suffix[i + 1][remaining - m]
                 if u < w:

@@ -36,7 +36,6 @@ from .restrictions import (
     System,
     Term,
     make_equation,
-    restriction_key,
 )
 
 FORMAT_HEADER = "# permspec v1"
@@ -142,10 +141,8 @@ def serialize_system(system: System) -> str:
         f"simples: {_perm_list(system.simples)}",
         f"root: {system.root.name()}",
     ]
-    rest = sorted((r for r in system.equations if r != system.root),
-                  key=restriction_key)
-    order = ([system.root] if system.root in system.equations else []) + rest
-    lines.extend(_equation_line(system.equations[r]) for r in order)
+    lines.extend(_equation_line(system.equations[r])
+                 for r in system.ordered_lhs())
     return "\n".join(lines) + "\n"
 
 
@@ -195,9 +192,6 @@ def system_json(system: System) -> dict:
         root = t.root if isinstance(t.root, str) else _perm_json(t.root)
         return {"root": root, "args": [a.name() for a in t.args]}
 
-    rest = sorted((r for r in system.equations if r != system.root),
-                  key=restriction_key)
-    order = ([system.root] if system.root in system.equations else []) + rest
     return {
         "schema": JSON_SCHEMA,
         "kind": "system",
@@ -211,7 +205,7 @@ def system_json(system: System) -> dict:
                 "atom": system.equations[r].has_atom,
                 "terms": [term_json(t) for t in system.equations[r].terms],
             }
-            for r in order
+            for r in system.ordered_lhs()
         ],
     }
 

@@ -9,6 +9,7 @@ from permspec import (
     FLAVOR_SUM_INDEC,
     MODE_AMBIGUOUS,
     MODE_DISJOINT,
+    Perm,
     Restriction,
     Term,
     add_constraints,
@@ -17,6 +18,7 @@ from permspec import (
     closure_system,
     contains,
     count_coefficients,
+    disambiguate_system,
     in_restriction,
     rhs_multiplicity,
 )
@@ -164,6 +166,15 @@ def test_substitution_closed_basis_gives_closure_equations():
     for lhs, eq in system.equations.items():
         ref = closure.equations[lhs]
         assert (eq.has_atom, set(eq.terms)) == (ref.has_atom, set(ref.terms))
+
+
+def test_basis_of_the_atom_gives_the_empty_class():
+    system = ambiguous_system(class_input([Perm((1,))], []))
+    assert len(system.equations) == 3
+    for eq in system.equations.values():
+        assert (eq.has_atom, eq.terms, eq.mode) == (False, (), MODE_AMBIGUOUS)
+    table = count_coefficients(disambiguate_system(system), 10)
+    assert table.root_counts() == [(n, 0) for n in range(1, 11)]
 
 
 def test_av132_equation_shape():

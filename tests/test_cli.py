@@ -82,10 +82,16 @@ def test_invalid_inputs_exit_3(basis_file, capsys, tmp_path):
     assert main(["count", "--basis", basis_file("")]) == 3
     assert main(["count", "--basis", basis_file("not a perm\n")]) == 3
     assert main(["count", "--basis", basis_file("1\n")]) == 3
+    capsys.readouterr()
     bad_simples = basis_file("1 3 2\n", name="simples.txt")
     assert main(["spec", "--basis", basis_file("1 3 2\n"),
                  "--simples", bad_simples]) == 3
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: not a simple permutation: 1 3 2\n"
+    covered = basis_file("3 1 4 2\n", name="covered.txt")
+    assert main(["spec", "--basis", basis_file("2 1\n"),
+                 "--simples", covered]) == 3
+    assert capsys.readouterr().err == (
+        "error: simple permutation 3 1 4 2 contains a basis element\n")
 
 
 def test_basis_minimization_warns(basis_file, capsys):

@@ -88,6 +88,57 @@ def test_suffix_tables_agree_with_counts(systems_one_simple):
             assert total == table.count(lhs, n)
 
 
+def naive_counts(system, depth):
+    """Counts by a from-scratch convolution of every term at every size."""
+    counts = {r: [0] * (depth + 1) for r in system.equations}
+
+    def term_count_at(term, n):
+        k = len(term.args)
+        if n < k:
+            return 0
+        ways = [1] + [0] * n
+        for idx, comp in enumerate(term.args):
+            remaining = k - idx - 1
+            comp_counts = counts[comp]
+            nxt = [0] * (n + 1)
+            for s in range(idx, n - remaining):
+                if not ways[s]:
+                    continue
+                for m in range(1, n - remaining - s + 1):
+                    if comp_counts[m]:
+                        nxt[s + m] += ways[s] * comp_counts[m]
+            ways = nxt
+        return ways[n]
+
+    for n in range(1, depth + 1):
+        for r, eq in system.equations.items():
+            counts[r][n] = (1 if eq.has_atom and n == 1 else 0) + sum(
+                term_count_at(t, n) for t in eq.terms)
+    return counts
+
+
+def test_suffix_row_kernel_matches_naive_convolution(systems_one_simple,
+                                                     systems_separable):
+    for _, disjoint in (systems_one_simple, systems_separable):
+        table = count_coefficients(disjoint, 60)
+        assert table.counts == naive_counts(disjoint, 60)
+
+
+def test_suffix_rows_convolve_the_next_row(systems_one_simple):
+    _, disjoint = systems_one_simple
+    table = count_coefficients(disjoint, 12)
+    for eq in disjoint.equations.values():
+        for t in eq.terms:
+            rows = table.suffix_tables(t)
+            assert len(rows) == len(t.args) + 1
+            assert rows[-1] == [1] + [0] * 12
+            for i, comp in enumerate(t.args):
+                for r in range(13):
+                    assert rows[i][r] == sum(
+                        table.counts[comp][m] * rows[i + 1][r - m]
+                        for m in range(1, r + 1))
+
+
 def test_productivity(systems_one_simple):
     _, disjoint = systems_one_simple
     simples = disjoint.simples_set()

@@ -19,7 +19,7 @@ from permspec import (
     substitute,
     tree_text,
 )
-from permspec.perms import ROOT_12, ROOT_21
+from permspec.perms import ROOT_12, ROOT_21, top_split
 
 from conftest import pc, perms_of_size
 
@@ -144,6 +144,26 @@ def test_decompose_simple_permutation_is_flat():
 
 def test_decompose_increasing_run_nests_to_the_right():
     assert tree_text(decompose(pc("123"))) == "12[1,12[1,1]]"
+
+
+def test_decompose_and_rebuild_deep_chains():
+    # Nesting depth grows with the size on these, well past the default
+    # recursion limit.
+    n = 2000
+    alternating = [1]
+    for i in range(n - 1):
+        if i % 2:
+            alternating = [v + 1 for v in alternating] + [1]    # 21[p, 1]
+        else:
+            alternating = [1] + [v + 1 for v in alternating]    # 12[1, p]
+    chains = [tuple(range(1, n + 1)), tuple(range(n, 0, -1)),
+              tuple(alternating)]
+    try:
+        for values in chains:
+            p = Perm(values)
+            assert rebuild(decompose(p)) == p
+    finally:
+        top_split.cache_clear()
 
 
 def check_canonical(tree: DecompTree):

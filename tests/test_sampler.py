@@ -171,3 +171,22 @@ def test_boltzmann_rejection_budget():
     state = SamplerState(disjoint, table, seed=0)
     with pytest.raises(RejectionBudgetError):
         sample_boltzmann(state, 0.1, (2, 3), budget=50)
+
+
+def test_worked_exact_stream_is_pinned(systems_one_simple):
+    # Captured before counting and sampling shared one suffix-row kernel:
+    # the same seed must keep giving the same draws.
+    _, disjoint = systems_one_simple
+    state = SamplerState(disjoint, count_coefficients(disjoint, 20), seed=0)
+    assert [str(sample_exact(state, 20)) for _ in range(10)] == [
+        "20 17 13 14 10 9 8 15 16 11 12 18 6 7 19 5 2 1 4 3",
+        "16 6 17 15 13 11 9 10 8 12 7 14 18 4 2 3 5 19 1 20",
+        "19 17 14 12 13 5 7 6 8 4 2 1 3 9 10 11 15 16 18 20",
+        "19 14 16 15 5 17 18 11 12 9 10 13 8 7 6 3 2 4 20 1",
+        "19 16 5 15 11 12 13 14 8 9 7 6 10 17 4 1 2 3 18 20",
+        "20 18 15 14 12 16 13 17 11 10 9 19 7 3 5 6 4 2 1 8",
+        "14 17 18 15 16 19 12 11 7 4 6 5 8 9 10 2 3 1 13 20",
+        "20 16 15 17 14 18 19 7 12 10 11 8 9 13 3 5 4 2 6 1",
+        "17 15 18 16 19 11 9 6 5 7 8 10 4 12 13 1 3 2 14 20",
+        "1 19 18 20 15 16 14 13 10 8 7 5 6 2 3 4 9 11 12 17",
+    ]

@@ -1,6 +1,7 @@
 """Text format of record: exact rendering, parse/serialize round-trips,
 input-file parsing, and the JSON mirror."""
 
+import hashlib
 import json
 
 import pytest
@@ -95,3 +96,12 @@ def test_json_mirror(systems_one_simple):
     lhs_names = {eq["lhs"] for eq in payload["equations"]}
     assert payload["root"] in lhs_names
     assert len(lhs_names) == len(disjoint.equations)
+
+
+def test_worked_disjoint_spec_text_is_pinned(systems_one_simple):
+    # Captured before counting and sampling shared one suffix-row kernel;
+    # any change to the format of record must show up here.
+    _, disjoint = systems_one_simple
+    text = serialize_system(disjoint)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "20940e92e791806dec97c56304afeb86ab0289286a7bbd46d943d1fbaac8c93e")
