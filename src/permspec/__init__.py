@@ -25,7 +25,7 @@ from .perms import (
     substitute,
     tree_text,
 )
-from .simples import SimplesResult, TruncatedSimplesError, compute_simples
+from .simples import SimplesResult, compute_simples
 from .restrictions import (
     FLAVOR_ALL,
     FLAVOR_SKEW_INDEC,

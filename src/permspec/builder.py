@@ -104,7 +104,7 @@ def closure_system(simples: Iterable[Perm]) -> System:
     for flavor in (FLAVOR_ALL, FLAVOR_SUM_INDEC, FLAVOR_SKEW_INDEC):
         lhs = Restriction(flavor)
         equations[lhs] = make_equation(
-            lhs, True, closure_terms(flavor, simples_t), MODE_DISJOINT)
+            lhs, True, closure_terms(flavor, simples_t))
     return System(root=Restriction(FLAVOR_ALL), equations=equations,
                   basis=(), simples=simples_t, mode=MODE_DISJOINT)
 
@@ -196,7 +196,7 @@ def restriction_equation(r: Restriction, simples: Iterable[Perm]) -> Equation:
         terms.extend(add_constraints(base, r.avoid))
     for mandatory in r.contain:
         terms = [t2 for t in terms for t2 in add_mandatory(t, mandatory)]
-    return make_equation(r, not r.contain, terms, MODE_AMBIGUOUS)
+    return make_equation(r, not r.contain, terms)
 
 
 def ambiguous_system(ci: ClassInput) -> System:
@@ -215,7 +215,7 @@ def ambiguous_system(ci: ClassInput) -> System:
     while pending:
         lhs = pending.pop(0)
         # Only the seeds can be statically empty, when the basis is {1}.
-        eq = (make_equation(lhs, False, (), MODE_AMBIGUOUS) if lhs.empty
+        eq = (make_equation(lhs, False, ()) if lhs.empty
               else restriction_equation(lhs, ci.simples))
         equations[lhs] = eq
         for t in eq.terms:

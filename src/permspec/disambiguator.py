@@ -1,27 +1,29 @@
 """Turn an ambiguous system into a combinatorial specification.
 
 Summands with distinct roots are already disjoint, so only same-root
-groups need work.  An ambiguous group of terms is replaced by one cell per
-nonempty subset of the group: the members of that subset intersected with
-the complements of the rest.  Complementing flips avoidance constraints
+groups need work.  An ambiguous group of terms is replaced by its nonempty
+cells "inside these terms, outside the rest", found by refinement: each
+term in turn splits the cells so far by itself and its complement, and
+opens its own cells outside all earlier terms, so an empty cell is dropped
+before later terms split it.  Complementing flips avoidance constraints
 into containment constraints, which is what restrictions with mandatory
-patterns are for.  Restrictions appearing on right sides only then receive
-equations of their own from the builder's ``restriction_equation``: the
-closure shape with avoidance pushed down, followed by containment pushed
-down through the embeddings of each mandatory pattern in the root (one
-summand per embedding).  The new equations may again be ambiguous; the
-loop continues until the system is closed and every equation is disjoint,
-which happens after finitely many rounds because every constraint pattern
-lives in the pattern closure of the basis.
+patterns are for.  Restrictions appearing on right sides only then
+receive equations of their own from the builder's ``restriction_equation``:
+the closure shape with avoidance pushed down, followed by containment
+pushed down through the embeddings of each mandatory pattern in the root
+(one summand per embedding).  The new equations may again be ambiguous;
+the loop continues until the system is closed and every equation is
+disjoint, which happens after finitely many rounds because every
+constraint pattern lives in the pattern closure of the basis.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from functools import reduce
 
 from .restrictions import (
-    MODE_AMBIGUOUS,
     MODE_DISJOINT,
     Equation,
     System,
@@ -29,7 +31,6 @@ from .restrictions import (
     intersect_terms,
     complement_term,
     make_equation,
-    restriction_key,
     term_key,
 )
 from .builder import restriction_equation
@@ -42,41 +43,27 @@ class IterationLimitError(RuntimeError):
     """Safety valve for runaway disambiguation."""
 
 
+def _meet(cells: list[Term], pool: list[Term]) -> list[Term]:
+    """The nonempty intersections of each cell with each member of the pool."""
+    return [q for cell in cells for t in pool
+            if (q := intersect_terms(cell, t)) is not None]
+
+
 def _expand_group(terms: list[Term]) -> list[Term]:
     """Replace an ambiguous same-root group by an equivalent disjoint one.
 
-    One cell per nonempty subset of the group: intersect the subset's
-    terms, then intersect with each complement cell of every term outside
-    the subset, distributing intersection over the complements' disjoint
-    unions.
+    After terms 0..j-1 the cells partition their union, one per nonempty
+    subset S: inside the terms of S, outside the others.  Term j splits
+    each cell by meeting it with ``[t_j] + complement_term(t_j)`` and adds
+    t_j met with the complement of each earlier term in turn; the part
+    outside every term is never built.
     """
-    k = len(terms)
     complements = [complement_term(t) for t in terms]
-    out: set[Term] = set()
-    for mask in range(1, 1 << k):
-        inside = [terms[i] for i in range(k) if mask >> i & 1]
-        cell = inside[0]
-        for t in inside[1:]:
-            cell = intersect_terms(cell, t)
-            if cell is None:
-                break
-        if cell is None:
-            continue
-        partial = [cell]
-        for i in range(k):
-            if mask >> i & 1:
-                continue
-            nxt = []
-            for p in partial:
-                for c in complements[i]:
-                    q = intersect_terms(p, c)
-                    if q is not None:
-                        nxt.append(q)
-            partial = sorted(set(nxt), key=term_key)
-            if not partial:
-                break
-        out.update(partial)
-    return sorted(out, key=term_key)
+    cells: list[Term] = []
+    for j, t in enumerate(terms):
+        cells = (_meet(cells, [t] + complements[j])
+                 + reduce(_meet, complements[:j], [t]))
+    return sorted(set(cells), key=term_key)
 
 
 def _group_ambiguous(terms: list[Term]) -> bool:
@@ -96,34 +83,27 @@ def disambiguate_equation(eq: Equation) -> Equation:
     for t in eq.terms:
         groups.setdefault(t.root, []).append(t)
     new_terms: list[Term] = []
-    for root in groups:
-        ts = groups[root]
-        if len(ts) > 1 and _group_ambiguous(ts):
-            new_terms.extend(_expand_group(ts))
-        else:
-            new_terms.extend(ts)
-    return make_equation(eq.lhs, eq.has_atom, new_terms, MODE_DISJOINT)
+    for ts in groups.values():
+        new_terms.extend(_expand_group(ts) if _group_ambiguous(ts) else ts)
+    return make_equation(eq.lhs, eq.has_atom, new_terms)
 
 
 def disambiguate_system(system: System) -> System:
     """The combinatorial specification equivalent to the given system.
 
-    Alternates two moves until a fixed point: make every equation disjoint,
-    and add equations for restrictions that occur on a right side only.
-    The root and its members are unchanged.
+    Alternates two moves until a fixed point: make every pending equation
+    disjoint, and add equations for restrictions that occur on a right
+    side only; those are the next round's pending equations.  The root and
+    its members are unchanged.
     """
-    work = replace(system, equations=dict(system.equations),
-                   mode=MODE_AMBIGUOUS)
+    work = replace(system, equations=dict(system.equations))
     equations = work.equations
-    while True:
-        pending = sorted((lhs for lhs, eq in equations.items()
-                          if eq.mode == MODE_AMBIGUOUS), key=restriction_key)
+    pending = list(equations)
+    while pending:
         for lhs in pending:
             equations[lhs] = disambiguate_equation(equations[lhs])
-        missing = work.right_only()
-        if not pending and not missing:
-            break
-        for lhs in missing:
+        pending = work.right_only()
+        for lhs in pending:
             equations[lhs] = restriction_equation(lhs, system.simples)
         if len(equations) > MAX_EQUATIONS:
             raise IterationLimitError(

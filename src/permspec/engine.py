@@ -158,6 +158,6 @@ def prune_unproductive(system: System) -> System:
             continue
         kept = tuple(t for t in eq.terms
                      if not any(a in dead for a in t.args))
-        equations[r] = Equation(eq.lhs, eq.has_atom, kept, eq.mode)
+        equations[r] = Equation(eq.lhs, eq.has_atom, kept)
     return System(root=system.root, equations=equations, basis=system.basis,
                   simples=system.simples, mode=system.mode)

@@ -252,23 +252,29 @@ class DecompTree:
     children: tuple["DecompTree", ...] = ()
 
 
-def _fold(node, children, combine):
-    """``combine(node, [values of its children])`` over a tree, bottom up.
+def recurse(gen):
+    """The value of a recursion written as generators, on an explicit stack.
 
-    Uses an explicit stack: trees of permutations nest as deep as the
-    size (the identity, say), past any recursion limit.
+    A generator asks for a sub-result by yielding the generator that
+    computes it and receives the value back from its ``yield`` (or hands
+    over to it with ``yield from``); its return value is its own result.
+    Sub-results are computed in the order they are asked for.  Trees of
+    permutations nest as deep as the size (the identity, say), past any
+    recursion limit.
     """
-    stack = [(node, children(node), [])]
+    stack = [gen]
+    value = None
     while True:
-        node, kids, done = stack[-1]
-        if len(done) < len(kids):
-            stack.append((kids[len(done)], children(kids[len(done)]), []))
-            continue
-        stack.pop()
-        value = combine(node, done)
-        if not stack:
-            return value
-        stack[-1][2].append(value)
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as stop:
+            stack.pop()
+            if not stack:
+                return stop.value
+            value = stop.value
+        else:
+            stack.append(child)
+            value = None
 
 
 def decompose(perm: Perm) -> DecompTree:
@@ -277,24 +283,39 @@ def decompose(perm: Perm) -> DecompTree:
     First children of 12 (resp. 21) nodes are never themselves 12 (resp. 21)
     rooted, and ``rebuild(decompose(perm)) == perm``.
     """
-    return _fold(perm, lambda p: top_split(p)[1],
-                 lambda p, kids: DecompTree(top_split(p)[0], tuple(kids)))
+    def tree(p):
+        root, parts = top_split(p)
+        kids = []
+        for q in parts:
+            kids.append((yield tree(q)))
+        return DecompTree(root, tuple(kids))
+    return recurse(tree(perm))
 
 
 def rebuild(tree: DecompTree) -> Perm:
     """Reassemble the permutation a decomposition tree describes."""
-    return _fold(tree, lambda t: t.children,
-                 lambda t, parts: Perm((1,)) if t.root is None
-                 else substitute(root_perm(t.root), parts))
+    def build(t):
+        if t.root is None:
+            return Perm((1,))
+        parts = []
+        for c in t.children:
+            parts.append((yield build(c)))
+        return substitute(root_perm(t.root), parts)
+    return recurse(build(tree))
 
 
 def tree_text(tree: DecompTree) -> str:
     """Compact display form, e.g. ``"2413[1,1,1,1]"`` (sizes <= 9 only)."""
-    if tree.root is None:
-        return "1"
-    label = tree.root if isinstance(tree.root, str) else "".join(
-        str(v) for v in tree.root.values)
-    return label + "[" + ",".join(tree_text(c) for c in tree.children) + "]"
+    def text(t):
+        if t.root is None:
+            return "1"
+        label = t.root if isinstance(t.root, str) else "".join(
+            str(v) for v in t.root.values)
+        parts = []
+        for c in t.children:
+            parts.append((yield text(c)))
+        return label + "[" + ",".join(parts) + "]"
+    return recurse(text(tree))
 
 
 def root_perm(root: str | Perm) -> Perm:
@@ -311,13 +332,13 @@ def root_perm(root: str | Perm) -> Perm:
 @lru_cache(maxsize=None)
 def tree_labels(perm: Perm) -> frozenset:
     """The set of internal node labels in a permutation's decomposition tree."""
-    root, parts = top_split(perm)
-    if root is None:
-        return frozenset()
-    labels = {root}
-    for part in parts:
-        labels |= tree_labels(part)
-    return frozenset(labels)
+    def labels(p):
+        root, parts = top_split(p)
+        out = set() if root is None else {root}
+        for q in parts:
+            out |= yield labels(q)
+        return out
+    return frozenset(recurse(labels(perm)))
 
 
 @lru_cache(maxsize=None)

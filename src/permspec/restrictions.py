@@ -226,40 +226,31 @@ def intersect_terms(t1: Term, t2: Term) -> Term | None:
 def complement_term(t: Term) -> list[Term]:
     """Everything with the same root that is not in t, as disjoint terms.
 
-    At least one component must be complemented; each complemented slot
-    independently runs over the cells of that component's complement.
+    Each slot either keeps its component or runs over the cells of that
+    component's complement, and at least one slot must not keep it: the
+    product of the choices minus the all-kept tuple, which comes first.
     """
-    parts = [complement_restriction(a) for a in t.args]
-    n = len(t.args)
-    out = []
-    for flip in _subsets(tuple(range(n))):
-        if not flip:
-            continue
-        pools = [parts[i] if i in flip else [t.args[i]] for i in range(n)]
-        for combo in itertools.product(*pools):
-            out.append(Term(t.root, tuple(combo)))
-    return sorted(set(out), key=term_key)
+    pools = [[a] + complement_restriction(a) for a in t.args]
+    combos = itertools.islice(itertools.product(*pools), 1, None)
+    return sorted((Term(t.root, combo) for combo in combos), key=term_key)
 
 
 @dataclass(frozen=True)
 class Equation:
-    """One nonterminal described as an optional atom plus a union of terms."""
+    """One nonterminal described as an optional atom plus a union of terms.
+
+    Whether the unions are disjoint is recorded once, in ``System.mode``.
+    """
 
     lhs: Restriction
     has_atom: bool
     terms: tuple[Term, ...]
-    mode: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if self.mode not in (MODE_AMBIGUOUS, MODE_DISJOINT):
-            raise ValueError(f"bad mode: {self.mode!r}")
 
 
-def make_equation(lhs: Restriction, has_atom: bool, terms: Iterable[Term],
-                  mode: str) -> Equation:
+def make_equation(lhs: Restriction, has_atom: bool,
+                  terms: Iterable[Term]) -> Equation:
     """Build an equation with terms deduplicated and canonically sorted."""
-    return Equation(lhs, has_atom, tuple(sorted(set(terms), key=term_key)), mode)
+    return Equation(lhs, has_atom, tuple(sorted(set(terms), key=term_key)))
 
 
 @dataclass

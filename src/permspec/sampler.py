@@ -14,6 +14,10 @@ series values at a parameter z inside the radius of convergence; the
 values are obtained by monotone fixpoint iteration from zero, which is
 valid because the system is positive.  Conditioned on its size the output
 is uniform, so rejection against a size window keeps uniformity.
+
+Both samplers are generators run on the explicit stack of
+``perms.recurse``, so members nested as deep as their size draw past any
+recursion limit.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .perms import Perm, root_perm, substitute
+from .perms import Perm, recurse, root_perm, substitute
 from .restrictions import Restriction, System, Term
 from .engine import CountTable
 
@@ -75,10 +79,10 @@ def sample_exact(state: SamplerState, n: int) -> Perm:
         raise ValueError(f"size {n} outside table depth {state.table.depth}")
     if state.table.count(state.target, n) == 0:
         raise EmptySizeClassError(f"no member of size {n} in {state.target}")
-    return _draw(state, state.target, n)
+    return recurse(_draw(state, state.target, n))
 
 
-def _draw(state: SamplerState, r: Restriction, n: int) -> Perm:
+def _draw(state: SamplerState, r: Restriction, n: int):
     eq = state.system.equations[r]
     u = state.rng.randrange(state.table.count(r, n))
     if eq.has_atom and n == 1:
@@ -88,12 +92,12 @@ def _draw(state: SamplerState, r: Restriction, n: int) -> Perm:
     for term in eq.terms:
         w = state.table.term_count(term, n)
         if u < w:
-            return _draw_term(state, term, n)
+            return (yield from _draw_term(state, term, n))
         u -= w
     raise AssertionError(f"inconsistent counts for {r} at size {n}")
 
 
-def _draw_term(state: SamplerState, term: Term, n: int) -> Perm:
+def _draw_term(state: SamplerState, term: Term, n: int):
     suffix = state.table.suffix_tables(term)
     k = len(term.args)
     parts: list[Perm] = []
@@ -112,7 +116,7 @@ def _draw_term(state: SamplerState, term: Term, n: int) -> Perm:
                 u -= w
             else:
                 raise AssertionError("inconsistent suffix tables")
-        parts.append(_draw(state, comp, size))
+        parts.append((yield _draw(state, comp, size)))
         remaining -= size
     return substitute(root_perm(term.root), parts)
 
@@ -172,7 +176,8 @@ def sample_boltzmann(state: SamplerState, z: float,
     for _ in range(budget):
         counter = [hi]
         try:
-            p = _boltzmann_draw(state, state.target, values, key, counter)
+            p = recurse(
+                _boltzmann_draw(state, state.target, values, key, counter))
         except _Oversize:
             continue
         if lo <= len(p) <= hi:
@@ -183,7 +188,7 @@ def sample_boltzmann(state: SamplerState, z: float,
 
 def _boltzmann_draw(state: SamplerState, r: Restriction,
                     values: dict[Restriction, float], z: float,
-                    counter: list[int]) -> Perm:
+                    counter: list[int]):
     if counter[0] <= 0:
         raise _Oversize
     eq = state.system.equations[r]
@@ -205,8 +210,10 @@ def _boltzmann_draw(state: SamplerState, r: Restriction,
         u -= z
     for term, w in zip(eq.terms, weights):
         if u < w:
-            parts = [_boltzmann_draw(state, comp, values, z, counter)
-                     for comp in term.args]
+            parts = []
+            for comp in term.args:
+                parts.append(
+                    (yield _boltzmann_draw(state, comp, values, z, counter)))
             return substitute(root_perm(term.root), parts)
         u -= w
     raise AssertionError(f"inconsistent series weights for {r}")

@@ -114,7 +114,7 @@ def _equation_line(eq: Equation) -> str:
     return f"{eq.lhs.name()} = {rhs}"
 
 
-def _parse_equation_line(line: str, mode: str) -> Equation:
+def _parse_equation_line(line: str) -> Equation:
     if " = " not in line:
         raise InvalidInputError(f"bad equation line: {line!r}")
     lhs_text, rhs_text = line.split(" = ", 1)
@@ -129,7 +129,7 @@ def _parse_equation_line(line: str, mode: str) -> Equation:
                 has_atom = True
             else:
                 terms.append(_parse_term(piece))
-    return make_equation(lhs, has_atom, terms, mode)
+    return make_equation(lhs, has_atom, terms)
 
 
 def serialize_system(system: System) -> str:
@@ -169,7 +169,7 @@ def parse_system(text: str) -> System:
     root = parse_restriction_name(headers["root"])
     equations = {}
     for line in lines[body_start:]:
-        eq = _parse_equation_line(line.strip(), mode)
+        eq = _parse_equation_line(line.strip())
         if eq.lhs in equations:
             raise InvalidInputError(f"duplicate equation for {eq.lhs.name()}")
         equations[eq.lhs] = eq

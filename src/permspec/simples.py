@@ -20,11 +20,6 @@ from .perms import Perm, avoids, is_simple, perm_key
 DEFAULT_SIMPLES_CAP = 12
 
 
-class TruncatedSimplesError(RuntimeError):
-    """Raised when a pipeline step needs a complete set of simples but the
-    search was cut off at its cap."""
-
-
 @dataclass(frozen=True)
 class SimplesResult:
     """Outcome of the simple-permutation search.

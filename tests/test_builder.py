@@ -172,7 +172,7 @@ def test_basis_of_the_atom_gives_the_empty_class():
     system = ambiguous_system(class_input([Perm((1,))], []))
     assert len(system.equations) == 3
     for eq in system.equations.values():
-        assert (eq.has_atom, eq.terms, eq.mode) == (False, (), MODE_AMBIGUOUS)
+        assert (eq.has_atom, eq.terms) == (False, ())
     table = count_coefficients(disambiguate_system(system), 10)
     assert table.root_counts() == [(n, 0) for n in range(1, 11)]
 

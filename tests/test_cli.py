@@ -128,6 +128,19 @@ def test_sample_boltzmann_needs_z(basis_file, capsys):
     assert all(3 <= len(line.split()) <= 5 for line in out.splitlines())
 
 
+def test_sample_deep_chain_exits_0(basis_file, capsys):
+    # Av(21) holds only identities, whose trees nest as deep as the size.
+    argv = ["sample", "--basis", basis_file("2 1\n"), "-n", "600"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == " ".join(map(str, range(1, 601))) + "\n"
+    assert main(argv + ["--method", "boltzmann", "--z", "0.999",
+                        "--window", "1000:1200", "--count", "2"]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        values = [int(v) for v in line.split()]
+        assert 1000 <= len(values) <= 1200
+        assert values == list(range(1, len(values) + 1))
+
+
 def test_check_subcommand_passes(basis_file, capsys):
     assert main(["check", "--basis", basis_file("1 3 2\n"),
                  "--max-size", "5"]) == 0

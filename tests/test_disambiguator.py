@@ -1,30 +1,38 @@
 """Disambiguation: mandatory propagation, group expansion, system closure,
 conservation and the partition property."""
 
+import itertools
+
 import pytest
 
 from permspec import (
     FLAVOR_ALL,
     FLAVOR_SKEW_INDEC,
     FLAVOR_SUM_INDEC,
-    MODE_AMBIGUOUS,
     MODE_DISJOINT,
     Perm,
     Restriction,
     Term,
     add_mandatory,
+    ambiguous_system,
+    class_input,
     closure_system,
+    complement_restriction,
+    complement_term,
+    compute_simples,
     count_coefficients,
     disambiguate_equation,
     disambiguate_system,
     embeddings,
     enumerate_avoiders,
     in_restriction,
+    intersect_terms,
     restriction_equation,
     rhs_multiplicity,
 )
 from permspec.perms import ROOT_12, ROOT_21
-from permspec.restrictions import make_equation
+from permspec.disambiguator import _expand_group
+from permspec.restrictions import make_equation, term_key
 
 from conftest import pc, perms_of_size
 
@@ -86,7 +94,7 @@ def test_add_mandatory_union_is_exact():
 
 def test_restriction_equation_avoidance_only():
     eq = restriction_equation(CA("21"), (pc("3142"),))
-    assert eq.has_atom and eq.mode == MODE_AMBIGUOUS
+    assert eq.has_atom
     assert set(eq.terms) == {Term(ROOT_12, (CP("21"), CA("21")))}
 
 
@@ -126,18 +134,16 @@ def test_single_summand_groups_pass_through():
     eq = make_equation(CA("132"), True, [
         Term(ROOT_12, (CP("132"), CA("21"))),
         Term(ROOT_21, (CM("132"), CA("132"))),
-    ], MODE_AMBIGUOUS)
+    ])
     out = disambiguate_equation(eq)
-    assert out.mode == MODE_DISJOINT
     assert set(out.terms) == set(eq.terms)
 
 
 def test_ambiguous_pair_becomes_partition():
     t1 = Term(ROOT_12, (CP("12"), CA("132")))
     t2 = Term(ROOT_12, (CP("1243"), CA("21")))
-    eq = make_equation(CA("1243"), True, [t1, t2], MODE_AMBIGUOUS)
+    eq = make_equation(CA("1243"), True, [t1, t2])
     out = disambiguate_equation(eq)
-    assert out.mode == MODE_DISJOINT
     simples = frozenset({pc("3142")})
     from permspec import in_term
     for n in range(1, 8):
@@ -147,11 +153,86 @@ def test_ambiguous_pair_becomes_partition():
             assert hits == (1 if want else 0), p
 
 
+# --- group expansion against the subset enumeration ---------------------------
+
+def _reference_complement_term(t):
+    """Every nonempty set of slots flipped, each flipped slot running over
+    its component's complement cells."""
+    parts = [complement_restriction(a) for a in t.args]
+    n = len(t.args)
+    out = set()
+    for k in range(1, n + 1):
+        for flip in itertools.combinations(range(n), k):
+            pools = [parts[i] if i in flip else [t.args[i]] for i in range(n)]
+            out.update(Term(t.root, combo) for combo in itertools.product(*pools))
+    return sorted(out, key=term_key)
+
+
+def _reference_expand_group(terms):
+    """One cell per nonempty subset of the group: intersect the subset's
+    terms, then each complement cell of every term outside the subset."""
+    k = len(terms)
+    complements = [_reference_complement_term(t) for t in terms]
+    out = set()
+    for mask in range(1, 1 << k):
+        inside = [terms[i] for i in range(k) if mask >> i & 1]
+        cell = inside[0]
+        for t in inside[1:]:
+            cell = intersect_terms(cell, t)
+            if cell is None:
+                break
+        if cell is None:
+            continue
+        partial = [cell]
+        for i in range(k):
+            if mask >> i & 1:
+                continue
+            partial = {q for p in partial for c in complements[i]
+                       if (q := intersect_terms(p, c)) is not None}
+            if not partial:
+                break
+        out.update(partial)
+    return sorted(out, key=term_key)
+
+
+def _expanded_groups(amb, disjoint):
+    """Every ambiguous same-root group the disambiguation of amb expands."""
+    for lhs in disjoint.equations:
+        eq = amb.equations.get(lhs) or restriction_equation(lhs, amb.simples)
+        groups = {}
+        for t in eq.terms:
+            groups.setdefault(t.root, []).append(t)
+        for ts in groups.values():
+            if any(intersect_terms(a, b) is not None
+                   for a, b in itertools.combinations(ts, 2)):
+                yield ts
+
+
+def test_group_expansion_matches_subset_enumeration(all_systems):
+    basis = tuple(pc(s) for s in ("1234", "2314", "3241"))
+    result = compute_simples(basis, cap=10)
+    assert result.complete
+    amb = ambiguous_system(class_input(basis, result.simples))
+    cases = list(all_systems.values()) + [(amb, disambiguate_system(amb))]
+    seen = 0
+    for amb, disjoint in cases:
+        for ts in _expanded_groups(amb, disjoint):
+            for t in ts:
+                assert complement_term(t) == _reference_complement_term(t)
+            assert _expand_group(ts) == _reference_expand_group(ts)
+            seen += 1
+    assert seen
+
+
 # --- system-level disambiguation ----------------------------------------------
 
-def test_disjoint_input_is_unchanged():
+def test_disjoint_input_is_unchanged(all_systems):
+    # No equation carries a mode, so every equation of a disjoint input is
+    # processed again and must come back as it was.
     system = closure_system([pc("2413"), pc("3142")])
     assert disambiguate_system(system) == system
+    for _, disjoint in all_systems.values():
+        assert disambiguate_system(disjoint) == disjoint
 
 
 def test_catalan_counts(systems_132):
@@ -173,7 +254,6 @@ def test_output_is_closed_disjoint_and_rooted(all_systems):
         assert disjoint.mode == MODE_DISJOINT
         assert disjoint.is_closed()
         assert disjoint.root == amb.root
-        assert all(eq.mode == MODE_DISJOINT for eq in disjoint.equations.values())
 
 
 def test_partition_property(all_systems):

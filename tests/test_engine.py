@@ -37,7 +37,7 @@ def test_gf_rejects_ambiguous_systems(systems_one_simple):
 def test_gf_renders_zero_for_empty_equation():
     lhs = Restriction(FLAVOR_ALL, (pc("12"), pc("21")), (pc("312"),))
     system = System(root=lhs,
-                    equations={lhs: make_equation(lhs, False, (), MODE_DISJOINT)},
+                    equations={lhs: make_equation(lhs, False, ())},
                     basis=(), simples=(), mode=MODE_DISJOINT)
     assert emit_gf_equations(system).render().endswith("= 0")
 
@@ -169,7 +169,7 @@ def test_productivity_flags_statically_empty_graft(systems_one_simple):
     _, disjoint = systems_one_simple
     dead = Restriction(FLAVOR_ALL, (Perm((1,)),))
     equations = dict(disjoint.equations)
-    equations[dead] = make_equation(dead, False, (), MODE_DISJOINT)
+    equations[dead] = make_equation(dead, False, ())
     grafted = System(root=disjoint.root, equations=equations,
                      basis=disjoint.basis, simples=disjoint.simples,
                      mode=MODE_DISJOINT)

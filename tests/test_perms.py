@@ -12,6 +12,7 @@ from permspec import (
     embeddings,
     enumerate_avoiders,
     gen_substitute,
+    in_closure,
     indecomposability,
     is_simple,
     pattern_of,
@@ -19,7 +20,7 @@ from permspec import (
     substitute,
     tree_text,
 )
-from permspec.perms import ROOT_12, ROOT_21, top_split
+from permspec.perms import ROOT_12, ROOT_21, top_split, tree_labels
 
 from conftest import pc, perms_of_size
 
@@ -161,9 +162,13 @@ def test_decompose_and_rebuild_deep_chains():
     try:
         for values in chains:
             p = Perm(values)
-            assert rebuild(decompose(p)) == p
+            tree = decompose(p)
+            assert rebuild(tree) == p
+            assert tree_text(tree).count("[") == n - 1
+            assert in_closure(p, frozenset())
     finally:
         top_split.cache_clear()
+        tree_labels.cache_clear()
 
 
 def check_canonical(tree: DecompTree):

@@ -190,3 +190,25 @@ def test_worked_exact_stream_is_pinned(systems_one_simple):
         "17 15 18 16 19 11 9 6 5 7 8 10 4 12 13 1 3 2 14 20",
         "1 19 18 20 15 16 14 13 10 8 7 5 6 2 3 4 9 11 12 17",
     ]
+
+
+def test_worked_boltzmann_stream_is_pinned(systems_one_simple):
+    # Captured before the samplers ran on an explicit stack: the same
+    # seed must keep giving the same draws, rejections included.
+    _, disjoint = systems_one_simple
+    state = SamplerState(disjoint, count_coefficients(disjoint, 20), seed=0)
+    assert [str(sample_boltzmann(state, 0.19, (10, 40)))
+            for _ in range(10)] == [
+        "13 12 6 16 15 14 8 9 10 7 11 5 3 4 2 1",
+        "22 20 23 21 24 25 26 27 28 18 15 13 14 16 12 11 17 19 10 9 6 8 7 29"
+        " 3 1 4 5 2",
+        "4 1 9 10 7 8 5 6 2 3",
+        "10 12 11 3 8 6 7 9 5 4 2 1",
+        "29 28 27 30 24 23 21 22 20 18 17 15 19 16 8 14 13 10 9 11 12 6 5 7"
+        " 25 3 1 2 4 26 31",
+        "7 3 9 8 6 5 4 10 11 1 12 2 13 14",
+        "13 9 12 11 10 8 14 6 7 3 1 5 4 2",
+        "14 10 11 12 4 7 5 6 8 9 3 13 1 2",
+        "7 9 8 4 3 6 5 10 2 1",
+        "15 14 8 11 12 9 10 13 4 3 5 2 6 1 7 16 17",
+    ]

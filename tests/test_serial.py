@@ -8,7 +8,11 @@ import pytest
 
 from permspec import (
     InvalidInputError,
+    ambiguous_system,
+    class_input,
     closure_system,
+    compute_simples,
+    disambiguate_system,
     parse_system,
     read_perm_lines,
     serialize_system,
@@ -99,9 +103,27 @@ def test_json_mirror(systems_one_simple):
 
 
 def test_worked_disjoint_spec_text_is_pinned(systems_one_simple):
-    # Captured before counting and sampling shared one suffix-row kernel;
-    # any change to the format of record must show up here.
+    # Captured before counting and sampling shared one suffix-row kernel
+    # (the worked basis) and before same-root groups were expanded by
+    # refinement (the others); any change to the format of record or to
+    # the disambiguation must show up here.
+    pinned = {
+        "worked":
+            "20940e92e791806dec97c56304afeb86ab0289286a7bbd46d943d1fbaac8c93e",
+        ("1234", "2314", "3241"):
+            "78475614d08d4807591ece2d931983a85aeac28a1c72210dc7dcd45a40d80789",
+        ("2413", "3421", "4123"):
+            "2a7b18196e25ec17ca27c2c5e070925ccbf20ab6e9146c8a489dce32309e8eec",
+        ("1234", "2314", "2431", "41352", "41523"):
+            "b7993d9b60230eca90afd7bb6172e5b7626829c100f05c0970a957dde9018ce7",
+    }
     _, disjoint = systems_one_simple
-    text = serialize_system(disjoint)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "20940e92e791806dec97c56304afeb86ab0289286a7bbd46d943d1fbaac8c93e")
+    texts = {"worked": serialize_system(disjoint)}
+    for basis_strs in list(pinned)[1:]:
+        basis = tuple(pc(s) for s in basis_strs)
+        result = compute_simples(basis, cap=10)
+        assert result.complete
+        texts[basis_strs] = serialize_system(disambiguate_system(
+            ambiguous_system(class_input(basis, result.simples))))
+    assert {k: hashlib.sha256(t.encode()).hexdigest()
+            for k, t in texts.items()} == pinned
