@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .perms import (
+    InvalidInputError,
     Perm,
     ROOT_12,
     ROOT_21,
@@ -68,13 +69,14 @@ def class_input(basis: Iterable[Perm], simples: Iterable[Perm]) -> ClassInput:
     """
     basis_t = tuple(sorted(set(basis), key=perm_key))
     if minimal_patterns(basis_t) != basis_t:
-        raise ValueError("basis is not an antichain; minimize it first")
+        raise InvalidInputError("basis is not an antichain; minimize it first")
     simples_t = tuple(sorted(set(simples), key=perm_key))
     for s in simples_t:
         if not is_simple(s):
-            raise ValueError(f"not a simple permutation: {s}")
+            raise InvalidInputError(f"not a simple permutation: {s}")
         if not avoids(s, basis_t):
-            raise ValueError(f"simple permutation {s} contains a basis element")
+            raise InvalidInputError(
+                f"simple permutation {s} contains a basis element")
     return ClassInput(basis_t, simples_t)
 
 

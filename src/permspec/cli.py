@@ -2,9 +2,9 @@
 sequence, generating functions, random samples, or a self-check report.
 
 Exit codes: 0 success, 2 simple-permutation search truncated (downstream
-outputs refused), 3 invalid input, 4 internal safety valve or failed
-self-check.  Defaults for the search cap and counting depth can come from
-the PERMSPEC_CAP and PERMSPEC_N environment variables.
+outputs refused), 3 invalid input, 4 internal error or failed self-check.
+Defaults for the search cap and counting depth can come from the
+PERMSPEC_CAP and PERMSPEC_N environment variables.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from .perms import Perm, minimal_patterns
 from .simples import DEFAULT_SIMPLES_CAP, SimplesResult, compute_simples
 from .builder import ambiguous_system, class_input
-from .disambiguator import IterationLimitError, disambiguate_system
+from .disambiguator import disambiguate_system
 from .engine import DEFAULT_COUNT_DEPTH, count_coefficients, emit_gf_equations
 from .sampler import (
     DivergentSeriesError,
@@ -302,11 +302,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (EmptySizeClassError, DivergentSeriesError,
-            RejectionBudgetError, ValueError) as exc:
+            RejectionBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except IterationLimitError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
+from .perms import InvalidInputError
 from .restrictions import (
     MODE_DISJOINT,
     Equation,
@@ -79,7 +80,7 @@ class CountTable:
         if not system.is_closed():
             raise ValueError("counting needs a closed system")
         if depth < 1:
-            raise ValueError("depth must be >= 1")
+            raise InvalidInputError("depth must be >= 1")
         self.system = system
         self.depth = depth
         self.counts: dict[Restriction, list[int]] = {

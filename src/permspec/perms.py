@@ -26,6 +26,11 @@ ROOT_12 = "12"
 ROOT_21 = "21"
 
 
+class InvalidInputError(ValueError):
+    """Unparseable or inconsistent user input, including out-of-range
+    arguments; any other ValueError signals a bug."""
+
+
 @dataclass(frozen=True)
 class Perm:
     """A permutation of {1..n}, n >= 1, in one-line notation.
@@ -121,14 +126,6 @@ def minimal_patterns(perms: Iterable[Perm]) -> tuple[Perm, ...]:
     items = sorted(set(perms), key=perm_key)
     out = [p for i, p in enumerate(items)
            if not any(contains(p, q) for q in items[:i])]
-    return tuple(out)
-
-
-def maximal_patterns(perms: Iterable[Perm]) -> tuple[Perm, ...]:
-    """The maximal elements of a set of permutations under containment."""
-    items = sorted(set(perms), key=perm_key)
-    out = [p for p in items
-           if not any(q != p and contains(q, p) for q in items)]
     return tuple(out)
 
 

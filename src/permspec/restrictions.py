@@ -11,7 +11,10 @@ system maps every restriction that occurs anywhere to its equation.
 Restrictions and terms form a small algebra (intersection, complement)
 that the disambiguation step relies on.  Complements stay inside the
 closure universe of the same flavor, so avoidance constraints flip into
-containment constraints and back.
+containment constraints and back.  The algebra runs on masks over one
+numbering of the constraint patterns, each numbered on first sight with
+the mask of the numbered patterns it properly contains (never its whole
+down-closure); intersection is an OR plus one intern-table lookup.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .perms import (
     is_simple,
     is_skew_decomposable,
     is_sum_decomposable,
-    maximal_patterns,
-    minimal_patterns,
     perm_key,
     top_split,
     tree_labels,
@@ -44,8 +45,50 @@ FLAVORS = (FLAVOR_ALL, FLAVOR_SUM_INDEC, FLAVOR_SKEW_INDEC)
 MODE_AMBIGUOUS = "ambiguous"
 MODE_DISJOINT = "disjoint"
 
+# Bit i of a mask stands for _PATTERNS[i]; _BELOW[i] masks the numbered
+# patterns it properly contains.  Numbers are never reused or reset.
+_PATTERNS: list[Perm] = []
+_NUMBER: dict[Perm, int] = {}
+_BELOW: list[int] = []
 
-@dataclass(frozen=True)
+
+def _number(p: Perm) -> int:
+    if p not in _NUMBER:
+        i = _NUMBER[p] = len(_PATTERNS)
+        below = 0
+        for j, q in enumerate(_PATTERNS):
+            if len(q) < len(p) and contains(p, q):
+                below |= 1 << j
+            elif len(q) > len(p) and contains(q, p):
+                _BELOW[j] |= 1 << i
+        _PATTERNS.append(p)
+        _BELOW.append(below)
+    return _NUMBER[p]
+
+
+_ATOM = 1 << _number(Perm((1,)))    # the size-1 pattern, contained in all
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _covered(mask: int) -> int:
+    """The numbered patterns properly contained in some member of mask."""
+    out = 0
+    for i in _bits(mask):
+        out |= _BELOW[i]
+    return out
+
+
+# (flavor, avoid mask, contain mask), raw or normalized -> the restriction.
+_INTERN: dict[tuple[str, int, int], "Restriction"] = {}
+
+
+@dataclass(frozen=True, eq=False)
 class Restriction:
     """Members of the closure universe (of one flavor) avoiding every
     pattern in ``avoid`` and containing every pattern in ``contain``.
@@ -54,24 +97,46 @@ class Restriction:
     contain set keeps only maximal ones and drops the size-1 pattern (every
     member contains it), and both are sorted.  ``empty`` flags restrictions
     that are statically known to denote the empty set; the flag is sound
-    but not complete.
+    but not complete.  Normalization, equality and hashing work on masks
+    over the module's pattern numbering; the first restriction with given
+    masks is interned, and equal ones built later copy its fields.
     """
 
     flavor: str
     avoid: tuple[Perm, ...] = ()
     contain: tuple[Perm, ...] = ()
-    empty: bool = field(init=False, compare=False, default=False)
+    empty: bool = field(init=False, default=False)
+    avoid_mask: int = field(init=False, repr=False, default=0)
+    contain_mask: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ValueError(f"bad flavor: {self.flavor!r}")
-        avoid = minimal_patterns(self.avoid)
-        contain = tuple(a for a in maximal_patterns(self.contain) if len(a) > 1)
-        object.__setattr__(self, "avoid", avoid)
-        object.__setattr__(self, "contain", contain)
-        flag = any(len(e) == 1 for e in avoid) or any(
-            contains(a, e) for a in contain for e in avoid)
-        object.__setattr__(self, "empty", flag)
+        raw = (self.flavor, sum({1 << _number(e) for e in self.avoid}),
+               sum({1 << _number(a) for a in self.contain}))
+        if raw not in _INTERN:
+            avoid, contain = raw[1], raw[2] & ~_ATOM
+            avoid &= ~sum(1 << i for i in _bits(avoid) if _BELOW[i] & avoid)
+            ident = (self.flavor, avoid, contain & ~_covered(contain))
+            _INTERN[raw] = _INTERN.setdefault(ident, self)
+        if _INTERN[raw] is not self:
+            self.__dict__.update(_INTERN[raw].__dict__)
+            return
+        _, avoid, contain = ident
+        normal = [tuple(sorted(map(_PATTERNS.__getitem__, _bits(m)), key=perm_key))
+                  for m in (avoid, contain)]
+        self.__dict__.update(
+            avoid=normal[0], contain=normal[1], avoid_mask=avoid,
+            contain_mask=contain, _ident=ident, _hash=hash(ident),
+            empty=bool(avoid & (_ATOM | contain | _covered(contain))),
+            _key=(FLAVORS.index(self.flavor),
+                  *(tuple(map(perm_key, ps)) for ps in normal)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Restriction) and self._ident == other._ident
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def name(self) -> str:
         """Canonical text form, e.g. ``C+<1 2>()`` or ``C<2 1>(1 3 2)``."""
@@ -84,43 +149,41 @@ class Restriction:
 
 
 def restriction_key(r: Restriction) -> tuple:
-    return (FLAVORS.index(r.flavor),
-            tuple(perm_key(e) for e in r.avoid),
-            tuple(perm_key(a) for a in r.contain))
+    return r._key
+
+
+def _interned(flavor: str, avoid: int, contain: int) -> Restriction:
+    """The restriction with these pattern masks, normalized or not."""
+    return _INTERN.get((flavor, avoid, contain)) or Restriction(flavor, *[
+        tuple(map(_PATTERNS.__getitem__, _bits(m))) for m in (avoid, contain)])
 
 
 def intersect_restrictions(r1: Restriction, r2: Restriction) -> Restriction:
     """Intersection within one flavor: unite both constraint sets."""
     if r1.flavor != r2.flavor:
         raise ValueError(f"flavor mismatch: {r1.flavor!r} vs {r2.flavor!r}")
-    return Restriction(r1.flavor, r1.avoid + r2.avoid, r1.contain + r2.contain)
-
-
-def _subsets(items: tuple) -> Iterator[tuple]:
-    for k in range(len(items) + 1):
-        yield from itertools.combinations(items, k)
+    return _interned(r1.flavor, r1.avoid_mask | r2.avoid_mask,
+                     r1.contain_mask | r2.contain_mask)
 
 
 def complement_restriction(r: Restriction) -> list[Restriction]:
     """The complement of r inside its flavor universe, as a disjoint family.
 
     A member of the complement either contains some avoided pattern or
-    avoids some mandatory one; sorting members by exactly which constraints
-    they break yields one cell per choice of broken subsets.  Statically
-    empty cells are dropped.
+    avoids some mandatory one; sorting members by which constraints they
+    break gives one cell per nonempty set of them, flipped by XOR (the two
+    masks of a nonempty r are disjoint).  Statically empty cells are dropped.
     """
     if r.empty:
         raise ValueError("cannot complement a statically empty restriction")
+    both = r.avoid_mask | r.contain_mask
     out = set()
-    for x in _subsets(r.contain):      # mandatory patterns now avoided
-        for y in _subsets(r.avoid):    # avoided patterns now mandatory
-            if not x and not y:
-                continue
-            rest_avoid = tuple(e for e in r.avoid if e not in y)
-            rest_contain = tuple(a for a in r.contain if a not in x)
-            cell = Restriction(r.flavor, x + rest_avoid, y + rest_contain)
-            if not cell.empty:
-                out.add(cell)
+    flip = both
+    while flip:
+        cell = _interned(r.flavor, r.avoid_mask ^ flip, r.contain_mask ^ flip)
+        if not cell.empty:
+            out.add(cell)
+        flip = (flip - 1) & both
     return sorted(out, key=restriction_key)
 
 
@@ -191,9 +254,9 @@ def restriction_leq(r1: Restriction, r2: Restriction) -> bool:
         return True
     if r1.flavor != r2.flavor or r2.empty:
         return False
-    return (all(any(contains(e2, e1) for e1 in r1.avoid) for e2 in r2.avoid)
-            and all(any(contains(a1, a2) for a1 in r1.contain)
-                    for a2 in r2.contain))
+    implied = r1.contain_mask | _covered(r1.contain_mask)
+    return not r2.contain_mask & ~implied and all(
+        (_BELOW[e] | 1 << e) & r1.avoid_mask for e in _bits(r2.avoid_mask))
 
 
 def term_leq(t1: Term, t2: Term) -> bool:
@@ -213,14 +276,14 @@ def intersect_terms(t1: Term, t2: Term) -> Term | None:
     """Componentwise intersection; None when the result is empty.
 
     Terms with different roots are disjoint outright, by uniqueness of the
-    decomposition.
+    decomposition; otherwise the first empty component settles it, and the
+    components after it are not intersected.
     """
     if t1.root != t2.root:
         return None
-    args = tuple(intersect_restrictions(a, b) for a, b in zip(t1.args, t2.args))
-    if any(a.empty for a in args):
-        return None
-    return Term(t1.root, args)
+    args = tuple(itertools.takewhile(lambda a: not a.empty, map(
+        intersect_restrictions, t1.args, t2.args)))
+    return Term(t1.root, args) if len(args) == len(t1.args) else None
 
 
 def complement_term(t: Term) -> list[Term]:

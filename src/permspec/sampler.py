@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .perms import Perm, recurse, root_perm, substitute
+from .perms import InvalidInputError, Perm, recurse, root_perm, substitute
 from .restrictions import Restriction, System, Term
 from .engine import CountTable
 
@@ -132,7 +132,7 @@ def evaluate_series(system: System, z: float,
     budget.
     """
     if z <= 0:
-        raise ValueError("z must be positive")
+        raise InvalidInputError("z must be positive")
     values = {r: 0.0 for r in system.equations}
     for _ in range(max_iterations):
         delta = 0.0
@@ -168,7 +168,7 @@ def sample_boltzmann(state: SamplerState, z: float,
     """
     lo, hi = window
     if not (1 <= lo <= hi):
-        raise ValueError(f"bad size window: {window}")
+        raise InvalidInputError(f"bad size window: {window}")
     key = float(z)
     if key not in state._series:
         state._series[key] = evaluate_series(state.system, key)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import re
 
-from .perms import Perm, ROOT_12, ROOT_21
+from .perms import InvalidInputError, Perm, ROOT_12, ROOT_21
 from .restrictions import (
     MODE_AMBIGUOUS,
     MODE_DISJOINT,
@@ -40,10 +40,6 @@ from .restrictions import (
 
 FORMAT_HEADER = "# permspec v1"
 JSON_SCHEMA = "permspec/1"
-
-
-class InvalidInputError(ValueError):
-    """Unparseable or inconsistent user input."""
 
 
 def read_perm_lines(text: str) -> list[Perm]:

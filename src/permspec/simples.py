@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .perms import Perm, avoids, is_simple, perm_key
+from .perms import InvalidInputError, Perm, avoids, is_simple, perm_key
 
 DEFAULT_SIMPLES_CAP = 12
 
@@ -58,11 +58,11 @@ def compute_simples(basis: Iterable[Perm],
     """
     patterns = tuple(sorted(set(basis), key=perm_key))
     if not patterns:
-        raise ValueError("basis must be nonempty")
+        raise InvalidInputError("basis must be nonempty")
     if any(len(b) < 2 for b in patterns):
-        raise ValueError("basis elements must have size >= 2")
+        raise InvalidInputError("basis elements must have size >= 2")
     if cap < 6:
-        raise ValueError(f"cap must be >= 6, got {cap}")
+        raise InvalidInputError(f"cap must be >= 6, got {cap}")
 
     def keep(p: Perm) -> bool:
         return is_simple(p) and avoids(p, patterns)

@@ -27,6 +27,19 @@ BASIS_ONE_SIMPLE = (
 )
 
 
+# Further bases of the benchmark corpus, by name; B1..B4 have several
+# simple permutations each and large same-root groups to disambiguate.
+CORPUS = {
+    "L1": ("1234", "2314", "3241"),
+    "L2": ("1234", "2314", "2431", "41352", "41523"),
+    "L4": ("2413", "3421", "4123"),
+    "B1": ("2314", "4132", "31245"),
+    "B2": ("2314", "4123", "4312"),
+    "B3": ("1243", "2134", "3421", "23451", "24153"),
+    "B4": ("1243", "2431", "3241"),
+}
+
+
 def pc(text: str) -> Perm:
     """Compact literal for tests: pc("3142") == Perm((3, 1, 4, 2))."""
     return Perm(tuple(int(ch) for ch in text))
@@ -36,8 +49,8 @@ def perms_of_size(n: int) -> list[Perm]:
     return [Perm(v) for v in itertools.permutations(range(1, n + 1))]
 
 
-def _pipeline(basis):
-    result = compute_simples(basis, cap=8)
+def _pipeline(basis, cap=8):
+    result = compute_simples(basis, cap=cap)
     assert result.complete
     amb = ambiguous_system(class_input(basis, result.simples))
     return amb, disambiguate_system(amb)
@@ -65,3 +78,10 @@ def all_systems(systems_132, systems_separable, systems_one_simple):
         BASIS_SEPARABLE: systems_separable,
         BASIS_ONE_SIMPLE: systems_one_simple,
     }
+
+
+@pytest.fixture(scope="session")
+def corpus_systems():
+    """Ambiguous and disjoint systems of every corpus basis, by name."""
+    return {name: _pipeline(tuple(pc(b) for b in basis), cap=10)
+            for name, basis in CORPUS.items()}

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from permspec import parse_system
+from permspec import cli, parse_system
 from permspec.cli import main
 
 ONE_SIMPLE = "1 2 4 3\n2 4 1 3\n5 3 1 6 4 2\n4 1 3 5 2\n"
@@ -92,6 +92,33 @@ def test_invalid_inputs_exit_3(basis_file, capsys, tmp_path):
                  "--simples", covered]) == 3
     assert capsys.readouterr().err == (
         "error: simple permutation 3 1 4 2 contains a basis element\n")
+
+
+def test_out_of_range_options_exit_3(basis_file, capsys):
+    basis = basis_file("1 3 2\n")
+    cases = {
+        ("count", "-N", "0"): "depth must be >= 1",
+        ("check", "--max-size", "0"): "depth must be >= 1",
+        ("spec", "--cap", "3"): "cap must be >= 6, got 3",
+        ("sample", "-n", "3", "--method", "boltzmann", "--z", "-1"):
+            "z must be positive",
+        ("sample", "-n", "3", "--method", "boltzmann", "--z", "0.2",
+         "--window", "5:3"): "bad size window: (5, 3)",
+    }
+    for argv, message in cases.items():
+        assert main([*argv, "--basis", basis]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_internal_value_error_exits_4(basis_file, capsys, monkeypatch):
+    # A ValueError from inside a stage is a bug, not bad input.
+    def broken(system):
+        raise ValueError("inconsistent state")
+    monkeypatch.setattr(cli, "disambiguate_system", broken)
+    assert main(["spec", "--basis", basis_file("1 3 2\n")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: inconsistent state\n"
 
 
 def test_basis_minimization_warns(basis_file, capsys):

@@ -30,6 +30,7 @@ from permspec import (
     restriction_equation,
     rhs_multiplicity,
 )
+from permspec.checks import run_check
 from permspec.perms import ROOT_12, ROOT_21
 from permspec.disambiguator import _expand_group
 from permspec.restrictions import make_equation, term_key
@@ -298,6 +299,16 @@ def test_pipeline_on_further_bases(basis_strs):
         assert table.root_count(n) == len(enumerate_avoiders(basis, n))
     assert not equation_violations(dis, 5)
     assert not conservation_violations(amb, dis, 5)
+
+
+@pytest.mark.parametrize("name", ["B1", "B2", "B3", "B4"])
+def test_corpus_bases_pass_the_oracle(corpus_systems, name):
+    amb, dis = corpus_systems[name]
+    report = run_check(amb, dis, 6)
+    assert all(ok for _, ok, _ in report), report
+    table = count_coefficients(dis, 8)
+    for n in range(1, 9):
+        assert table.root_count(n) == len(enumerate_avoiders(dis.basis, n))
 
 
 def test_constraints_stay_inside_basis_pattern_closure(all_systems):

@@ -1,6 +1,8 @@
 """Restriction algebra: normalization, intersection, complement, membership."""
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,15 @@ from permspec import (
     Term,
     complement_restriction,
     complement_term,
+    contains,
     in_restriction,
     in_term,
     intersect_restrictions,
     intersect_terms,
+    pattern_of,
 )
-from permspec.perms import ROOT_12, ROOT_21
+from permspec import perms, restrictions
+from permspec.perms import ROOT_12, ROOT_21, perm_key
 from permspec.restrictions import prune_subsumed, restriction_leq, term_leq
 
 from conftest import pc, perms_of_size
@@ -212,3 +217,137 @@ def test_prune_subsumed_keeps_maximal_terms():
     small = Term(pc("3142"), (CA("12"), CA("12"), CA("21"), CA("21")))
     assert term_leq(small, big)
     assert prune_subsumed([big, small]) == [big]
+
+
+# --- pattern numbering and masks -------------------------------------------
+
+def _pattern_closure(*basis: str) -> list[Perm]:
+    """Every pattern of size >= 1 contained in some basis element."""
+    found = set()
+    for b in basis:
+        p = pc(b)
+        for k in range(1, len(p) + 1):
+            for positions in itertools.combinations(range(len(p)), k):
+                found.add(pattern_of([p.values[i] for i in positions]))
+    return sorted(found, key=perm_key)
+
+
+# The closures of the worked basis W and of B1 = Av(2314, 4132, 31245).
+_CLOSURE = _pattern_closure("1243", "2413", "41352", "531642",
+                            "2314", "4132", "31245")
+_patterns = st.lists(st.sampled_from(_CLOSURE), max_size=6)
+_flavors = st.sampled_from([FLAVOR_ALL, FLAVOR_SUM_INDEC, FLAVOR_SKEW_INDEC])
+
+
+def _ref_minimal(patterns) -> tuple:
+    items = set(patterns)
+    return tuple(sorted((p for p in items
+                         if not any(q != p and contains(p, q) for q in items)),
+                        key=perm_key))
+
+
+def _ref_maximal(patterns) -> tuple:
+    items = set(patterns)
+    return tuple(sorted((p for p in items
+                         if not any(q != p and contains(q, p) for q in items)),
+                        key=perm_key))
+
+
+def _ref_normal(avoid, contain) -> tuple[tuple, tuple, bool]:
+    """Normalized avoid and contain sets and the empty flag, from contains."""
+    a = _ref_minimal(avoid)
+    c = tuple(p for p in _ref_maximal(contain) if len(p) > 1)
+    empty = any(len(e) == 1 for e in a) or any(
+        contains(m, e) for m in c for e in a)
+    return a, c, empty
+
+
+def _ref_leq(r1, r2) -> bool:
+    if r1.empty:
+        return True
+    if r1.flavor != r2.flavor or r2.empty:
+        return False
+    return (all(any(contains(e2, e1) for e1 in r1.avoid) for e2 in r2.avoid)
+            and all(any(contains(a1, a2) for a1 in r1.contain)
+                    for a2 in r2.contain))
+
+
+def _ref_complement(r) -> set:
+    """One cell per nonempty choice of broken constraints, which flip sides."""
+    constraints = [("avoid", e) for e in r.avoid] + \
+        [("contain", a) for a in r.contain]
+    out = set()
+    for k in range(1, len(constraints) + 1):
+        for broken in itertools.combinations(constraints, k):
+            avoid = [e for e in r.avoid if ("avoid", e) not in broken] + \
+                [a for side, a in broken if side == "contain"]
+            contain = [a for a in r.contain if ("contain", a) not in broken] + \
+                [e for side, e in broken if side == "avoid"]
+            cell = Restriction(r.flavor, tuple(avoid), tuple(contain))
+            if not cell.empty:
+                out.add(cell)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(flavor=_flavors, avoid=_patterns, contain=_patterns)
+def test_mask_normalization_matches_containment(flavor, avoid, contain):
+    r = Restriction(flavor, tuple(avoid), tuple(contain))
+    assert (r.avoid, r.contain, r.empty) == _ref_normal(avoid, contain)
+    again = Restriction(flavor, r.avoid, r.contain)
+    assert again == r and hash(again) == hash(r)
+    if not r.empty:
+        assert set(complement_restriction(r)) == _ref_complement(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flavor=_flavors, avoid1=_patterns, contain1=_patterns,
+       avoid2=_patterns, contain2=_patterns, same_flavor=st.booleans())
+def test_mask_inclusion_and_intersection_match_containment(
+        flavor, avoid1, contain1, avoid2, contain2, same_flavor):
+    r1 = Restriction(flavor, tuple(avoid1), tuple(contain1))
+    r2 = Restriction(flavor if same_flavor else FLAVOR_ALL,
+                     tuple(avoid2), tuple(contain2))
+    assert restriction_leq(r1, r2) == _ref_leq(r1, r2)
+    assert restriction_leq(r2, r1) == _ref_leq(r2, r1)
+    assert restriction_leq(r1, r1)
+    if r1.flavor == r2.flavor:
+        meet = intersect_restrictions(r1, r2)
+        assert (meet.avoid, meet.contain, meet.empty) == _ref_normal(
+            avoid1 + avoid2, contain1 + contain2)
+        assert restriction_leq(meet, r1) and restriction_leq(meet, r2)
+
+
+def test_interning_keeps_one_object_per_restriction():
+    rs = [Restriction(FLAVOR_ALL, (p,), (q,)) for p in _CLOSURE[:12]
+          for q in _CLOSURE[12:24]]
+    for r1, r2 in itertools.product(rs[:30], repeat=2):
+        intersect_restrictions(r1, r2)
+    table = restrictions._INTERN.values()
+    assert len({id(r) for r in table}) == len(set(table))
+
+
+def test_equal_after_perms_caches_are_cleared():
+    # 2461357 is numbered by the first build; the numbering must outlive
+    # every lru_cache in perms, which the benchmark clears between units.
+    r1 = CA("2413", "1243", contain=("213", "2461357"))
+    for value in vars(perms).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    r2 = CA("1243", "2413", contain=("2461357", "213"))
+    assert r1 == r2 and hash(r1) == hash(r2)
+    assert intersect_restrictions(r1, CA("12")) == intersect_restrictions(
+        CA("12"), r2)
+
+
+def test_large_pattern_numbers_without_its_down_closure():
+    rng = random.Random(0)
+    values = list(range(1, 41))
+    rng.shuffle(values)
+    big = Perm(tuple(values))
+    numbered = len(restrictions._PATTERNS)
+    start = time.perf_counter()
+    r = Restriction(FLAVOR_ALL, (big,))
+    assert time.perf_counter() - start < 1.0
+    assert r.avoid == (big,) and not r.empty
+    assert len(restrictions._PATTERNS) == numbered + 1

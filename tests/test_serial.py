@@ -102,28 +102,25 @@ def test_json_mirror(systems_one_simple):
     assert len(lhs_names) == len(disjoint.equations)
 
 
-def test_worked_disjoint_spec_text_is_pinned(systems_one_simple):
+def test_worked_disjoint_spec_text_is_pinned(systems_one_simple,
+                                             corpus_systems):
     # Captured before counting and sampling shared one suffix-row kernel
-    # (the worked basis) and before same-root groups were expanded by
-    # refinement (the others); any change to the format of record or to
-    # the disambiguation must show up here.
+    # (the worked basis W), before same-root groups were expanded by
+    # refinement (L1, L2, L4) and before restrictions ran on pattern masks
+    # (B1..B4); any change to the format of record or to the
+    # disambiguation must show up here.
     pinned = {
-        "worked":
-            "20940e92e791806dec97c56304afeb86ab0289286a7bbd46d943d1fbaac8c93e",
-        ("1234", "2314", "3241"):
-            "78475614d08d4807591ece2d931983a85aeac28a1c72210dc7dcd45a40d80789",
-        ("2413", "3421", "4123"):
-            "2a7b18196e25ec17ca27c2c5e070925ccbf20ab6e9146c8a489dce32309e8eec",
-        ("1234", "2314", "2431", "41352", "41523"):
-            "b7993d9b60230eca90afd7bb6172e5b7626829c100f05c0970a957dde9018ce7",
+        "W": "20940e92e791806dec97c56304afeb86ab0289286a7bbd46d943d1fbaac8c93e",
+        "L1": "78475614d08d4807591ece2d931983a85aeac28a1c72210dc7dcd45a40d80789",
+        "L2": "b7993d9b60230eca90afd7bb6172e5b7626829c100f05c0970a957dde9018ce7",
+        "L4": "2a7b18196e25ec17ca27c2c5e070925ccbf20ab6e9146c8a489dce32309e8eec",
+        "B1": "be7c39bf90e20fdfdc45471291156aaadca4e60fc959a99e2d26f65ba584166c",
+        "B2": "7905cc5c7f18cfb12328546b7d48d4526aa2c2a1608cf9d5ab9a853a48e50c7b",
+        "B3": "4cac8101a18f0aa38c05b0aa193c3dbbeaf541984540f76b5ab38efac5aa826d",
+        "B4": "08eafc3ec078bbf9fa8fcd91e9889ec0ff53257f3b14a051e5cfc576b1e8f11f",
     }
-    _, disjoint = systems_one_simple
-    texts = {"worked": serialize_system(disjoint)}
-    for basis_strs in list(pinned)[1:]:
-        basis = tuple(pc(s) for s in basis_strs)
-        result = compute_simples(basis, cap=10)
-        assert result.complete
-        texts[basis_strs] = serialize_system(disambiguate_system(
-            ambiguous_system(class_input(basis, result.simples))))
+    texts = {"W": serialize_system(systems_one_simple[1])}
+    texts.update((name, serialize_system(disjoint))
+                 for name, (_, disjoint) in corpus_systems.items())
     assert {k: hashlib.sha256(t.encode()).hexdigest()
             for k, t in texts.items()} == pinned
