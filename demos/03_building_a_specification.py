@@ -3,9 +3,10 @@
 First the closure equations are decorated with avoidance constraints,
 pushed into term components through the embeddings of each excluded
 pattern in the term's root.  The resulting system may describe some
-members twice; disambiguation replaces each ambiguous same-root union by
-the disjoint cells of its inclusion pattern, trading avoidance
-constraints for containment constraints along the way.
+members twice; disambiguation keeps each summand minus the earlier
+summands it may overlap, splitting each complement at the first slot
+that leaves the summand, and so trades avoidance constraints for
+containment constraints along the way.
 """
 
 from permspec import (

@@ -23,6 +23,7 @@ from .sampler import (
     EmptySizeClassError,
     RejectionBudgetError,
     SamplerState,
+    check_boltzmann_options,
     sample_boltzmann,
     sample_exact,
 )
@@ -237,16 +238,18 @@ def _cmd_sample(args) -> int:
         raise InvalidInputError("sample size must be >= 1")
     if args.count < 1:
         raise InvalidInputError("sample count must be >= 1")
-    system = _specification(args)
     window = _parse_window(args.window) if args.window else (args.n, args.n)
-    depth = max(args.n, window[1])
-    table = count_coefficients(system, depth)
-    state = SamplerState(system, table, seed=args.seed)
+    if args.method == "boltzmann":
+        if args.z is None:
+            raise InvalidInputError("the boltzmann method needs --z")
+        check_boltzmann_options(args.z, window)
+    system = _specification(args)
+    # the Boltzmann sampler reads series values, not the count table
+    state = SamplerState(system, count_coefficients(system, args.n),
+                         seed=args.seed)
     if args.method == "exact":
         draws = [sample_exact(state, args.n) for _ in range(args.count)]
     else:
-        if args.z is None:
-            raise InvalidInputError("the boltzmann method needs --z")
         draws = [sample_boltzmann(state, args.z, window)
                  for _ in range(args.count)]
     if args.json:

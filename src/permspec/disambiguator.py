@@ -1,13 +1,13 @@
 """Turn an ambiguous system into a combinatorial specification.
 
-Summands with distinct roots are already disjoint, so only same-root
-groups need work.  An ambiguous group of terms is replaced by its nonempty
-cells "inside these terms, outside the rest", found by refinement: each
-term in turn splits the cells so far by itself and its complement, and
-opens its own cells outside all earlier terms, so an empty cell is dropped
-before later terms split it.  Complementing flips avoidance constraints
-into containment constraints, which is what restrictions with mandatory
-patterns are for.  Restrictions appearing on right sides only then
+Each equation's union t_0 | t_1 | ... is replaced by the disjoint union
+of t_0, t_1 minus t_0, t_2 minus t_0 and t_1, and so on (A | B equals A
+plus B minus A).  A term is only met with the complements of earlier terms
+it may intersect; summands with distinct roots are disjoint outright.  The
+complement of a term is split at the first slot that leaves it, one term
+per complement cell of that slot.  Complementing flips avoidance
+constraints into containment constraints, which is what restrictions with
+mandatory patterns are for.  Restrictions appearing on right sides only then
 receive equations of their own from the builder's ``restriction_equation``:
 the closure shape with avoidance pushed down, followed by containment
 pushed down through the embeddings of each mandatory pattern in the root
@@ -19,7 +19,6 @@ constraint pattern lives in the pattern closure of the basis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 from functools import reduce
 
@@ -31,7 +30,6 @@ from .restrictions import (
     intersect_terms,
     complement_term,
     make_equation,
-    term_key,
 )
 from .builder import restriction_equation
 
@@ -49,43 +47,21 @@ def _meet(cells: list[Term], pool: list[Term]) -> list[Term]:
             if (q := intersect_terms(cell, t)) is not None]
 
 
-def _expand_group(terms: list[Term]) -> list[Term]:
-    """Replace an ambiguous same-root group by an equivalent disjoint one.
-
-    After terms 0..j-1 the cells partition their union, one per nonempty
-    subset S: inside the terms of S, outside the others.  Term j splits
-    each cell by meeting it with ``[t_j] + complement_term(t_j)`` and adds
-    t_j met with the complement of each earlier term in turn; the part
-    outside every term is never built.
-    """
-    complements = [complement_term(t) for t in terms]
-    cells: list[Term] = []
-    for j, t in enumerate(terms):
-        cells = (_meet(cells, [t] + complements[j])
-                 + reduce(_meet, complements[:j], [t]))
-    return sorted(set(cells), key=term_key)
-
-
-def _group_ambiguous(terms: list[Term]) -> bool:
-    """A same-root group needs expansion when some pair may intersect."""
-    return any(intersect_terms(a, b) is not None
-               for a, b in itertools.combinations(terms, 2))
-
-
 def disambiguate_equation(eq: Equation) -> Equation:
     """Make one equation's union disjoint, preserving its members.
 
-    The atom never meets a term (terms produce size >= 2 only), so only
-    same-root term groups with a possibly nonempty pairwise intersection
-    are expanded.
+    The union t_0 | t_1 | ... is rewritten as t_0, then t_1 minus t_0, then
+    t_2 minus t_0 and t_1, and so on: each term is met with the complement
+    of every earlier term it may intersect.  Terms with different roots
+    never intersect, and neither do the atom and a term (terms produce size
+    >= 2 only), so an equation whose terms are pairwise statically disjoint
+    comes back unchanged.
     """
-    groups: dict = {}
-    for t in eq.terms:
-        groups.setdefault(t.root, []).append(t)
-    new_terms: list[Term] = []
-    for ts in groups.values():
-        new_terms.extend(_expand_group(ts) if _group_ambiguous(ts) else ts)
-    return make_equation(eq.lhs, eq.has_atom, new_terms)
+    terms: list[Term] = []
+    for j, t in enumerate(eq.terms):
+        terms += reduce(_meet, [complement_term(u) for u in eq.terms[:j]
+                                if intersect_terms(u, t) is not None], [t])
+    return make_equation(eq.lhs, eq.has_atom, terms)
 
 
 def disambiguate_system(system: System) -> System:

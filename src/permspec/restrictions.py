@@ -289,13 +289,16 @@ def intersect_terms(t1: Term, t2: Term) -> Term | None:
 def complement_term(t: Term) -> list[Term]:
     """Everything with the same root that is not in t, as disjoint terms.
 
-    Each slot either keeps its component or runs over the cells of that
-    component's complement, and at least one slot must not keep it: the
-    product of the choices minus the all-kept tuple, which comes first.
+    A tuple outside t has a first slot k whose part leaves t's component:
+    the slots before k keep t's components, slot k runs over the cells of
+    that component's complement, and the slots after k range over their
+    whole flavor universe.  That is one term per complement cell of each
+    slot, sum rather than product.
     """
-    pools = [[a] + complement_restriction(a) for a in t.args]
-    combos = itertools.islice(itertools.product(*pools), 1, None)
-    return sorted((Term(t.root, combo) for combo in combos), key=term_key)
+    return sorted((Term(t.root, t.args[:k] + (cell,) + tuple(
+        Restriction(a.flavor) for a in t.args[k + 1:]))
+        for k, arg in enumerate(t.args)
+        for cell in complement_restriction(arg)), key=term_key)
 
 
 @dataclass(frozen=True)

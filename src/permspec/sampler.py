@@ -156,6 +156,14 @@ def evaluate_series(system: System, z: float,
         f"no convergence within {max_iterations} iterations at z={z}")
 
 
+def check_boltzmann_options(z: float, window: tuple[int, int]) -> None:
+    """Reject a size window other than 1 <= lo <= hi, and a z <= 0."""
+    if not (1 <= window[0] <= window[1]):
+        raise InvalidInputError(f"bad size window: {window}")
+    if z <= 0:
+        raise InvalidInputError("z must be positive")
+
+
 def sample_boltzmann(state: SamplerState, z: float,
                      window: tuple[int, int],
                      budget: int = DEFAULT_REJECTION_BUDGET) -> Perm:
@@ -166,9 +174,8 @@ def sample_boltzmann(state: SamplerState, z: float,
     sizes outside the window; draws are abandoned early once they exceed
     the window's upper end.
     """
+    check_boltzmann_options(z, window)
     lo, hi = window
-    if not (1 <= lo <= hi):
-        raise InvalidInputError(f"bad size window: {window}")
     key = float(z)
     if key not in state._series:
         state._series[key] = evaluate_series(state.system, key)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from permspec import cli, parse_system
+from permspec import cli, count_coefficients, parse_system
 from permspec.cli import main
 
 ONE_SIMPLE = "1 2 4 3\n2 4 1 3\n5 3 1 6 4 2\n4 1 3 5 2\n"
@@ -153,6 +153,41 @@ def test_sample_boltzmann_needs_z(basis_file, capsys):
     assert main(argv + ["--z", "0.2", "--window", "3:5", "--count", "3"]) == 0
     out = capsys.readouterr().out
     assert all(3 <= len(line.split()) <= 5 for line in out.splitlines())
+
+
+def test_sample_rejects_boltzmann_options_before_building(
+        basis_file, capsys, monkeypatch):
+    def unreachable(system):
+        raise AssertionError("the specification was built")
+    monkeypatch.setattr(cli, "disambiguate_system", unreachable)
+    basis = basis_file("2 3 1 4\n4 1 3 2\n3 1 2 4 5\n")
+    cases = {
+        ("--z", "-1"): "z must be positive",
+        ("--z", "0"): "z must be positive",
+        ("--z", "0.2", "--window", "5:3"): "bad size window: (5, 3)",
+        ("--z", "0.2", "--window", "0:3"): "bad size window: (0, 3)",
+        (): "the boltzmann method needs --z",
+    }
+    for options, message in cases.items():
+        assert main(["sample", "--basis", basis, "-n", "3",
+                     "--method", "boltzmann", *options]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sample_count_table_depth_is_n(basis_file, capsys, monkeypatch):
+    # The Boltzmann sampler reads no count table, so a wide window must not
+    # deepen it.
+    depths = []
+
+    def recording(system, depth):
+        depths.append(depth)
+        return count_coefficients(system, depth)
+    monkeypatch.setattr(cli, "count_coefficients", recording)
+    assert main(["sample", "--basis", basis_file("1 3 2\n"), "-n", "5",
+                 "--method", "boltzmann", "--z", "0.2",
+                 "--window", "1:3000"]) == 0
+    assert depths == [5]
+    assert len(capsys.readouterr().out.splitlines()) == 1
 
 
 def test_sample_deep_chain_exits_0(basis_file, capsys):

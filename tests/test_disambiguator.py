@@ -18,7 +18,6 @@ from permspec import (
     class_input,
     closure_system,
     complement_restriction,
-    complement_term,
     compute_simples,
     count_coefficients,
     disambiguate_equation,
@@ -26,13 +25,13 @@ from permspec import (
     embeddings,
     enumerate_avoiders,
     in_restriction,
+    in_term,
     intersect_terms,
     restriction_equation,
     rhs_multiplicity,
 )
 from permspec.checks import run_check
 from permspec.perms import ROOT_12, ROOT_21
-from permspec.disambiguator import _expand_group
 from permspec.restrictions import make_equation, term_key
 
 from conftest import pc, perms_of_size
@@ -196,33 +195,42 @@ def _reference_expand_group(terms):
     return sorted(out, key=term_key)
 
 
-def _expanded_groups(amb, disjoint):
-    """Every ambiguous same-root group the disambiguation of amb expands."""
-    for lhs in disjoint.equations:
-        eq = amb.equations.get(lhs) or restriction_equation(lhs, amb.simples)
-        groups = {}
-        for t in eq.terms:
-            groups.setdefault(t.root, []).append(t)
-        for ts in groups.values():
-            if any(intersect_terms(a, b) is not None
-                   for a, b in itertools.combinations(ts, 2)):
-                yield ts
+def _reference_disambiguate(eq):
+    """eq's terms with each ambiguous same-root group replaced by its cells."""
+    groups = {}
+    for t in eq.terms:
+        groups.setdefault(t.root, []).append(t)
+    return [c for ts in groups.values() for c in (
+        _reference_expand_group(ts)
+        if any(intersect_terms(a, b) is not None
+               for a, b in itertools.combinations(ts, 2)) else ts)]
 
 
 def test_group_expansion_matches_subset_enumeration(all_systems):
+    # Every equation disambiguation makes disjoint is checked by membership
+    # against its input terms and against the subset enumeration's cells.
     basis = tuple(pc(s) for s in ("1234", "2314", "3241"))
     result = compute_simples(basis, cap=10)
     assert result.complete
     amb = ambiguous_system(class_input(basis, result.simples))
     cases = list(all_systems.values()) + [(amb, disambiguate_system(amb))]
-    seen = 0
+    perms = [p for n in range(2, 7) for p in perms_of_size(n)]
+    changed = 0
     for amb, disjoint in cases:
-        for ts in _expanded_groups(amb, disjoint):
-            for t in ts:
-                assert complement_term(t) == _reference_complement_term(t)
-            assert _expand_group(ts) == _reference_expand_group(ts)
-            seen += 1
-    assert seen
+        simples = amb.simples_set()
+        for lhs in disjoint.equations:
+            eq = amb.equations.get(lhs) or restriction_equation(lhs, amb.simples)
+            out = disambiguate_equation(eq).terms
+            cells = _reference_disambiguate(eq)
+            changed += out != eq.terms
+            for p in perms:
+                hits = sum(1 for t in out if in_term(p, t, simples))
+                assert hits <= 1, (lhs.name(), p)
+                assert hits == any(in_term(p, t, simples) for t in eq.terms), \
+                    (lhs.name(), p)
+                assert hits == any(in_term(p, c, simples) for c in cells), \
+                    (lhs.name(), p)
+    assert changed
 
 
 # --- system-level disambiguation ----------------------------------------------
@@ -304,7 +312,7 @@ def test_pipeline_on_further_bases(basis_strs):
 @pytest.mark.parametrize("name", ["B1", "B2", "B3", "B4"])
 def test_corpus_bases_pass_the_oracle(corpus_systems, name):
     amb, dis = corpus_systems[name]
-    report = run_check(amb, dis, 6)
+    report = run_check(amb, dis, 7)
     assert all(ok for _, ok, _ in report), report
     table = count_coefficients(dis, 8)
     for n in range(1, 9):

@@ -178,29 +178,38 @@ def test_complement_of_full_term_is_nothing():
 
 
 def test_complement_term_cells():
+    # Split at the first slot that leaves the term: either the first part
+    # leaves s1 (and the second is anything), or it stays and the second
+    # part leaves s2.
     s1 = Restriction(FLAVOR_SKEW_INDEC, (pc("12"),))
     s2 = CA("12")
     cells = complement_term(Term(ROOT_21, (s1, s2)))
     s1bar = Restriction(FLAVOR_SKEW_INDEC, (), (pc("12"),))
     s2bar = CA(contain=("12",))
     assert set(cells) == {
+        Term(ROOT_21, (s1bar, CA())),
         Term(ROOT_21, (s1, s2bar)),
-        Term(ROOT_21, (s1bar, s2)),
-        Term(ROOT_21, (s1bar, s2bar)),
     }
 
 
-def test_complement_term_partitions_the_root_shape():
-    t = Term(pc("3142"), (CA("12"), CA("12"), CA("132"), CA("132")))
-    shape = Term(pc("3142"), (CA(), CA(), CA(), CA()))
-    cells = complement_term(t)
-    for n in range(4, 7):
-        for p in perms_of_size(n):
-            if not in_term(p, shape, SIMPLES):
-                continue
-            inside = in_term(p, t, SIMPLES)
-            hits = sum(1 for c in cells if in_term(p, c, SIMPLES))
-            assert hits == (0 if inside else 1), p
+def test_complement_term_partitions_the_root_shape(systems_one_simple,
+                                                   corpus_systems):
+    # Every term of the ambiguous systems of W and B4, and one by hand.
+    extra = Term(pc("3142"), (CA("12"), CA("12"), CA("132"), CA("132")))
+    cases = [(systems_one_simple[0], [extra]), (corpus_systems["B4"][0], [])]
+    perms = [p for n in range(2, 7) for p in perms_of_size(n)]
+    for amb, more in cases:
+        simples = amb.simples_set()
+        terms = {t for eq in amb.equations.values() for t in eq.terms}
+        for t in terms | set(more):
+            shape = Term(t.root, tuple(Restriction(a.flavor) for a in t.args))
+            cells = complement_term(t)
+            for p in perms:
+                if not in_term(p, shape, simples):
+                    continue
+                inside = in_term(p, t, simples)
+                hits = sum(1 for c in cells if in_term(p, c, simples))
+                assert hits == (0 if inside else 1), (t.name(), p)
 
 
 # --- static inclusion ------------------------------------------------------

@@ -104,20 +104,20 @@ def test_json_mirror(systems_one_simple):
 
 def test_worked_disjoint_spec_text_is_pinned(systems_one_simple,
                                              corpus_systems):
-    # Captured before counting and sampling shared one suffix-row kernel
-    # (the worked basis W), before same-root groups were expanded by
-    # refinement (L1, L2, L4) and before restrictions ran on pattern masks
-    # (B1..B4); any change to the format of record or to the
+    # Recaptured when each equation became "every term minus the earlier
+    # ones" (a smaller specification of the same class), each after its
+    # specification passed run_check at size 7 and matched the earlier
+    # root counts to n=40; any change to the format of record or to the
     # disambiguation must show up here.
     pinned = {
-        "W": "20940e92e791806dec97c56304afeb86ab0289286a7bbd46d943d1fbaac8c93e",
-        "L1": "78475614d08d4807591ece2d931983a85aeac28a1c72210dc7dcd45a40d80789",
-        "L2": "b7993d9b60230eca90afd7bb6172e5b7626829c100f05c0970a957dde9018ce7",
-        "L4": "2a7b18196e25ec17ca27c2c5e070925ccbf20ab6e9146c8a489dce32309e8eec",
-        "B1": "be7c39bf90e20fdfdc45471291156aaadca4e60fc959a99e2d26f65ba584166c",
-        "B2": "7905cc5c7f18cfb12328546b7d48d4526aa2c2a1608cf9d5ab9a853a48e50c7b",
-        "B3": "4cac8101a18f0aa38c05b0aa193c3dbbeaf541984540f76b5ab38efac5aa826d",
-        "B4": "08eafc3ec078bbf9fa8fcd91e9889ec0ff53257f3b14a051e5cfc576b1e8f11f",
+        "W": "45ff6b419e122b152242b3e3a426aea30b843ecb484abe1c624f7c607f8ffba0",
+        "L1": "dae927c8980d795031cff95c8a1372414220d5f3c6b9d1e66cf44132f979761c",
+        "L2": "7cc97e053c537a2a75ec94720015be95f474c4e41164be023a5094a5989bbf3b",
+        "L4": "6634cd8e537e6293d800276310958ecfbcf442c77085ea039f80eca33dc387a4",
+        "B1": "7eb01fc327bb9e4d199393ec63326dafa2cfe38b6ee6a23fbc13169a15e9e99b",
+        "B2": "a93985977644b0c3fae227e841539c67565c06ac665285c1e1af3dbc776a9102",
+        "B3": "82c7450e5a5c7666b82c2da13370c598272c43882b48edf2f3c42d6d2a8cedfa",
+        "B4": "f930b4537858a3c7e81da9e80dcdb73c56abb9cb7d0df48be977ebaaa3571bbe",
     }
     texts = {"W": serialize_system(systems_one_simple[1])}
     texts.update((name, serialize_system(disjoint))
