@@ -3,66 +3,155 @@
 Every check here compares a system against direct, decomposition-based
 membership of concrete permutations, so a passing report means the
 equations describe exactly the sets they claim to.  Used by the command
-line ``check`` subcommand and by the test suite.
+line ``check`` subcommand and by the test suite.  Memberships are those of
+``in_restriction`` and ``rhs_multiplicity``, decided on profiles: each
+permutation is split and tested against each pattern (``contains``) once
+per run, and meets only the terms of its own root.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .perms import Perm, enumerate_avoiders
-from .restrictions import (
-    MODE_DISJOINT,
-    System,
-    in_restriction,
-    rhs_multiplicity,
-)
+from .perms import (DEFAULT_ORACLE_CAP, InvalidInputError, Perm, ROOT_12,
+                    ROOT_21, contains, enumerate_avoiders, top_split)
+from .restrictions import (FLAVOR_SKEW_INDEC, FLAVOR_SUM_INDEC, MODE_DISJOINT,
+                           Restriction, System)
 from .engine import count_coefficients
 
+# Profile flag bits; bit 3 + i stands for the i-th constraint pattern.
+IN_CLOSURE, SUM_DEC, SKEW_DEC = 1, 2, 4
+_FORBIDDEN = {FLAVOR_SUM_INDEC: SUM_DEC, FLAVOR_SKEW_INDEC: SKEW_DEC}
+_DECOMPOSED = {ROOT_12: SUM_DEC, ROOT_21: SKEW_DEC}
 
-@lru_cache(maxsize=None)
+
 def perms_of_size(n: int) -> tuple[Perm, ...]:
     return tuple(Perm(v) for v in itertools.permutations(range(1, n + 1)))
 
 
-def equation_violations(system: System, max_size: int) -> list[str]:
+def check_max_size(max_size: int) -> None:
+    """Reject sizes outside 1..DEFAULT_ORACLE_CAP (size n walks n! perms)."""
+    if not 1 <= max_size <= DEFAULT_ORACLE_CAP:
+        raise InvalidInputError("depth must be >= 1" if max_size < 1 else
+                                f"oracle size {max_size} exceeds cap "
+                                f"{DEFAULT_ORACLE_CAP}")
+
+
+class Profiles:
+    """Per-permutation profiles and compiled restriction tests for one run.
+
+    A profile is an int: ``IN_CLOSURE`` when every tree label is 12, 21 or
+    a listed simple, ``SUM_DEC``/``SKEW_DEC`` by the top split, and one bit
+    per pattern of the systems' restrictions.  A restriction compiles to
+    (forbidden, needed) masks, and a term to the same masks over the packed
+    profiles of p's parts.
+    """
+
+    def __init__(self, systems: Iterable[System]):
+        patterns = {q for s in systems for eq in s.equations.values()
+                    for r in (eq.lhs, *(a for t in eq.terms for a in t.args))
+                    for q in r.avoid + r.contain}
+        self._bit = {q: 8 << i for i, q in
+                     enumerate(sorted(patterns, key=len))}
+        self._width = 3 + len(self._bit)
+        self._splits: dict[frozenset, dict] = {}
+
+    def test(self, r: Restriction) -> tuple[int, int]:
+        """(forbidden, needed) masks of r; a statically empty r admits none."""
+        if r.empty:
+            return IN_CLOSURE, IN_CLOSURE
+        bit = self._bit
+        return (sum(bit[e] for e in r.avoid) | _FORBIDDEN.get(r.flavor, 0),
+                sum(bit[a] for a in r.contain) | IN_CLOSURE)
+
+    def _pack(self, profiles: Iterable[int]) -> int:
+        return sum(q << i * self._width for i, q in enumerate(profiles))
+
+    def split(self, p: Perm, simples: frozenset[Perm]):
+        """(profile of p, its (root, arity), its parts' profiles packed)."""
+        table = self._splits.setdefault(simples, {})
+        if p not in table:
+            root, parts = top_split(p)
+            subs = [self.split(q, simples)[0] for q in parts]
+            prof = _DECOMPOSED.get(root, 0)
+            if (root in (None, ROOT_12, ROOT_21) or root in simples) and \
+                    all(s & IN_CLOSURE for s in subs):
+                prof |= IN_CLOSURE
+            for q, bit in self._bit.items():
+                if len(q) > len(p):
+                    break
+                if contains(p, q):
+                    prof |= bit
+            table[p] = (prof, (root, len(parts)), self._pack(subs))
+        return table[p]
+
+    def _right_sides(self, system: System):
+        """(simples, {(root, arity): [(equation index, term masks)]}, per
+        equation its atom count) for the right sides of a system."""
+        index: dict[tuple, list] = {}
+        for i, eq in enumerate(system.equations.values()):
+            for t in eq.terms:
+                forbidden, needed = zip(*map(self.test, t.args))
+                index.setdefault((t.root, len(t.args)), []).append(
+                    (i, self._pack(forbidden), self._pack(needed)))
+        return system.simples_set(), index, [
+            int(eq.has_atom) for eq in system.equations.values()]
+
+    def tallies(self, systems: list[System], max_size: int):
+        """(p, per system p's profile, per system and equation the number
+        of right-side summands holding p) for every p up to max_size; the
+        atom counts as one."""
+        sides = [self._right_sides(system) for system in systems]
+        for size in range(1, max_size + 1):
+            for p in perms_of_size(size):
+                profs, counts = [], []
+                for simples, index, atoms in sides:
+                    prof, shape, parts = self.split(p, simples)
+                    mults = atoms[:] if shape[0] is None else [0] * len(atoms)
+                    for i, forbidden, needed in index.get(shape, ()):
+                        if not parts & forbidden and parts & needed == needed:
+                            mults[i] += 1
+                    profs.append(prof)
+                    counts.append(mults)
+                yield p, profs, counts
+
+
+def equation_violations(system: System, max_size: int,
+                        profiles: Profiles | None = None) -> list[str]:
     """Left side vs right side, per equation, on every permutation.
 
     In an ambiguous system a member must land in at least one summand; in
     a disjoint one, in exactly one.  Non-members must land in none.
     """
-    simples = system.simples_set()
+    profiles = profiles or Profiles([system])
     exact = system.mode == MODE_DISJOINT
+    lhs_tests = [(lhs, *profiles.test(lhs)) for lhs in system.equations]
     out = []
-    for n in range(1, max_size + 1):
-        for p in perms_of_size(n):
-            for lhs, eq in system.equations.items():
-                member = in_restriction(p, lhs, simples)
-                mult = rhs_multiplicity(p, eq, simples)
-                ok = (mult == (1 if member else 0)) if exact else \
-                    (member == (mult > 0))
-                if not ok:
-                    out.append(f"{lhs.name()} vs {p}: member={member}, "
-                               f"summand multiplicity={mult}")
+    for p, (prof,), (mults,) in profiles.tallies([system], max_size):
+        for (lhs, forbidden, needed), mult in zip(lhs_tests, mults):
+            member = not prof & forbidden and prof & needed == needed
+            ok = (mult == (1 if member else 0)) if exact else \
+                (member == (mult > 0))
+            if not ok:
+                out.append(f"{lhs.name()} vs {p}: member={member}, "
+                           f"summand multiplicity={mult}")
     return out
 
 
-def conservation_violations(before: System, after: System,
-                            max_size: int) -> list[str]:
+def conservation_violations(before: System, after: System, max_size: int,
+                            profiles: Profiles | None = None) -> list[str]:
     """Right-side membership unchanged for every equation both systems share."""
-    simples_b = before.simples_set()
-    simples_a = after.simples_set()
-    shared = [r for r in before.equations if r in after.equations]
+    profiles = profiles or Profiles([before, after])
+    where = {lhs: j for j, lhs in enumerate(after.equations)}
+    shared = [(lhs, i, where[lhs]) for i, lhs in enumerate(before.equations)
+              if lhs in where]
     out = []
-    for n in range(1, max_size + 1):
-        for p in perms_of_size(n):
-            for lhs in shared:
-                was = rhs_multiplicity(p, before.equations[lhs], simples_b) > 0
-                now = rhs_multiplicity(p, after.equations[lhs], simples_a) > 0
-                if was != now:
-                    out.append(f"{lhs.name()} vs {p}: before={was}, after={now}")
+    for p, _, (was, now) in profiles.tallies([before, after], max_size):
+        for lhs, i, j in shared:
+            if (was[i] > 0) != (now[j] > 0):
+                out.append(f"{lhs.name()} vs {p}: before={was[i] > 0}, "
+                           f"after={now[j] > 0}")
     return out
 
 
@@ -72,7 +161,7 @@ def count_violations(system: System, basis: Sequence[Perm],
     table = count_coefficients(system, max_size)
     out = []
     for n in range(1, max_size + 1):
-        want = len(enumerate_avoiders(basis, n, cap=max(10, max_size)))
+        want = len(enumerate_avoiders(basis, n))
         got = table.root_count(n)
         if got != want:
             out.append(f"size {n}: engine {got}, enumeration {want}")
@@ -82,6 +171,8 @@ def count_violations(system: System, basis: Sequence[Perm],
 def run_check(ambiguous: System, disjoint: System,
               max_size: int) -> list[tuple[str, bool, str]]:
     """The full cross-validation suite; one (name, passed, detail) per check."""
+    check_max_size(max_size)
+    profiles = Profiles([ambiguous, disjoint])
     results = []
 
     def record(name: str, violations: list[str]):
@@ -90,11 +181,11 @@ def run_check(ambiguous: System, disjoint: System,
         results.append((name, not violations, detail))
 
     record("ambiguous equation membership",
-           equation_violations(ambiguous, max_size))
+           equation_violations(ambiguous, max_size, profiles))
     record("specification partition",
-           equation_violations(disjoint, max_size))
+           equation_violations(disjoint, max_size, profiles))
     record("conservation through disambiguation",
-           conservation_violations(ambiguous, disjoint, max_size))
+           conservation_violations(ambiguous, disjoint, max_size, profiles))
     record("counting equality",
            count_violations(disjoint, disjoint.basis, max_size))
     return results

@@ -35,7 +35,7 @@ from .serial import (
     serialize_system,
     system_json,
 )
-from .checks import run_check
+from .checks import check_max_size, run_check
 
 EXIT_OK = 0
 EXIT_TRUNCATED = 2
@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the oracle cross-validation suite")
     common(p)
     p.add_argument("--max-size", type=int, default=6, metavar="N",
-                   help="verify membership up to this size (default 6)")
+                   help="verify membership up to this size, 1..10 "
+                        "(default 6)")
     return parser
 
 
@@ -245,8 +246,9 @@ def _cmd_sample(args) -> int:
         check_boltzmann_options(args.z, window)
     system = _specification(args)
     # the Boltzmann sampler reads series values, not the count table
-    state = SamplerState(system, count_coefficients(system, args.n),
-                         seed=args.seed)
+    table = count_coefficients(system, args.n) if args.method == "exact" \
+        else None
+    state = SamplerState(system, table, seed=args.seed)
     if args.method == "exact":
         draws = [sample_exact(state, args.n) for _ in range(args.count)]
     else:
@@ -263,6 +265,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    check_max_size(args.max_size)
     amb = _ambiguous(args)
     dis = disambiguate_system(amb)
     report = run_check(amb, dis, args.max_size)

@@ -83,38 +83,56 @@ def pattern_of(values: Sequence[int]) -> Perm:
     return Perm(tuple(rank[v] for v in vals))
 
 
+@lru_cache(maxsize=1024)
+def _neighbours(pattern: Perm) -> tuple[tuple[int, int], ...]:
+    """Per pattern position j, the earlier positions holding the nearest
+    smaller and the nearest larger value; -2 and -1 (the two sentinel slots
+    of ``contains``) stand in where there is none."""
+    p = pattern.values
+    return tuple(
+        (max((m for m in range(j) if p[m] < v), key=p.__getitem__, default=-2),
+         min((m for m in range(j) if p[m] > v), key=p.__getitem__, default=-1))
+        for j, v in enumerate(p))
+
+
 @lru_cache(maxsize=None)
 def contains(perm: Perm, pattern: Perm) -> bool:
     """True when some subsequence of perm is order-isomorphic to pattern.
 
     Backtracking subsequence matcher: pattern positions are matched left
-    to right, keeping only prefixes consistent with the pattern's
-    relative order.
+    to right.  A prefix of the match is order-isomorphic to the pattern's
+    prefix, so a candidate value only has to lie strictly between the
+    values matched to its two neighbours in ``_neighbours``.
 
     >>> contains(Perm.from_text("3 1 6 4 5 2"), Perm.from_text("2 4 3 1"))
     True
     >>> contains(Perm.from_text("3 1 6 4 5 2"), Perm.from_text("2 4 1 3"))
     False
     """
-    s, p = perm.values, pattern.values
-    k, n = len(p), len(s)
+    s = perm.values
+    k, n = len(pattern), len(s)
     if k > n:
         return False
-    chosen: list[int] = []
-
-    def extend(j: int, lo: int) -> bool:
-        if j == k:
+    bounds = _neighbours(pattern)
+    got = [0] * k + [0, n + 1]  # matched values, then the two sentinels
+    start = [0] * k             # where the search for each position resumes
+    j = 0
+    while j >= 0:
+        lo, hi = bounds[j]
+        a, b = got[lo], got[hi]
+        i, last = start[j], n - k + j
+        while i <= last and not a < s[i] < b:
+            i += 1
+        if i > last:
+            j -= 1
+            continue
+        got[j] = s[i]
+        if j == k - 1:
             return True
-        for i in range(lo, n - (k - j) + 1):
-            v = s[i]
-            if all((v > s[c]) == (p[j] > p[m]) for m, c in enumerate(chosen)):
-                chosen.append(i)
-                if extend(j + 1, i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, 0)
+        start[j] = i + 1
+        j += 1
+        start[j] = i + 1
+    return False
 
 
 def avoids(perm: Perm, patterns: Iterable[Perm]) -> bool:

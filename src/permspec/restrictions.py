@@ -219,6 +219,10 @@ class Term:
             raise ValueError(f"bad term root: {self.root!r}")
         if bad:
             raise ValueError(f"component flavor does not fit root {self.root}")
+        object.__setattr__(self, "_hash", hash((self.root, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def root_text(self) -> str:
         return self.root if isinstance(self.root, str) else str(self.root)

@@ -56,11 +56,12 @@ class SamplerState:
     """A specification, its count table, and a seeded random source.
 
     The seed fully determines the sample stream for a fixed build.  One
-    state per thread; the table may be shared.
+    state per thread; the table may be shared.  Only ``sample_exact``
+    reads the table, so a Boltzmann-only state may go without one.
     """
 
     system: System
-    table: CountTable
+    table: CountTable | None = None
     seed: int = 0
     target: Restriction | None = None
 
@@ -75,6 +76,8 @@ class SamplerState:
 
 def sample_exact(state: SamplerState, n: int) -> Perm:
     """A permutation of size n, exactly uniform over the target's members."""
+    if state.table is None:
+        raise ValueError("exact sampling needs a count table")
     if n < 1 or n > state.table.depth:
         raise ValueError(f"size {n} outside table depth {state.table.depth}")
     if state.table.count(state.target, n) == 0:

@@ -1,0 +1,164 @@
+"""The oracle checks on per-permutation profiles, against the plain
+membership route of ``permspec.restrictions``."""
+
+import dataclasses
+
+import pytest
+
+from permspec import checks, count_coefficients
+from permspec.checks import (
+    Profiles,
+    conservation_violations,
+    count_violations,
+    equation_violations,
+    perms_of_size,
+    run_check,
+)
+from permspec.perms import enumerate_avoiders
+from permspec.restrictions import (
+    MODE_DISJOINT,
+    Equation,
+    in_restriction,
+    in_term,
+    rhs_multiplicity,
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_systems(systems_one_simple, corpus_systems):
+    return {"W": systems_one_simple, "L1": corpus_systems["L1"],
+            "B1": corpus_systems["B1"]}
+
+
+def _restrictions(system):
+    return {r for eq in system.equations.values()
+            for r in (eq.lhs, *(a for t in eq.terms for a in t.args))}
+
+
+@pytest.mark.parametrize("name", ["W", "L1", "B1"])
+def test_profile_route_matches_plain_route(oracle_systems, name):
+    amb, dis = oracle_systems[name]
+    profiles = Profiles([amb, dis])
+    for system in (amb, dis):
+        simples = system.simples_set()
+        tests = {r: profiles.test(r) for r in _restrictions(system)}
+        for p, (prof,), (mults,) in profiles.tallies([system], 6):
+            for r, (forbidden, needed) in tests.items():
+                member = not prof & forbidden and prof & needed == needed
+                assert member == in_restriction(p, r, simples), (p, r)
+            assert mults == [rhs_multiplicity(p, eq, simples)
+                             for eq in system.equations.values()], p
+
+
+# --- plain-route reference for the full reports ------------------------------
+
+def _plain_equation_violations(system, max_size):
+    simples = system.simples_set()
+    exact = system.mode == MODE_DISJOINT
+    out = []
+    for n in range(1, max_size + 1):
+        for p in perms_of_size(n):
+            for lhs, eq in system.equations.items():
+                member = in_restriction(p, lhs, simples)
+                mult = rhs_multiplicity(p, eq, simples)
+                ok = (mult == (1 if member else 0)) if exact else \
+                    (member == (mult > 0))
+                if not ok:
+                    out.append(f"{lhs.name()} vs {p}: member={member}, "
+                               f"summand multiplicity={mult}")
+    return out
+
+
+def _plain_conservation_violations(before, after, max_size):
+    out = []
+    for n in range(1, max_size + 1):
+        for p in perms_of_size(n):
+            for lhs in before.equations:
+                if lhs not in after.equations:
+                    continue
+                was = rhs_multiplicity(p, before.equations[lhs],
+                                       before.simples_set()) > 0
+                now = rhs_multiplicity(p, after.equations[lhs],
+                                       after.simples_set()) > 0
+                if was != now:
+                    out.append(f"{lhs.name()} vs {p}: before={was}, after={now}")
+    return out
+
+
+def _plain_report(amb, dis, max_size):
+    table = count_coefficients(dis, max_size)
+    counts = [f"size {n}: engine {table.root_count(n)}, enumeration {want}"
+              for n in range(1, max_size + 1)
+              for want in [len(enumerate_avoiders(dis.basis, n))]
+              if table.root_count(n) != want]
+    results = [
+        ("ambiguous equation membership", _plain_equation_violations(amb, max_size)),
+        ("specification partition", _plain_equation_violations(dis, max_size)),
+        ("conservation through disambiguation",
+         _plain_conservation_violations(amb, dis, max_size)),
+        ("counting equality", counts),
+    ]
+    return [(name, not v, "" if not v else
+             f"{len(v)} violation(s); first: {v[0]}") for name, v in results]
+
+
+def _with_terms(system, lhs, terms):
+    eq = system.equations[lhs]
+    return dataclasses.replace(system, equations={
+        **system.equations, lhs: Equation(lhs, eq.has_atom, tuple(terms))})
+
+
+def _lone_term(system, lhs, max_size):
+    """The first term of lhs's equation that alone holds some permutation,
+    so that dropping it changes the union."""
+    simples = system.simples_set()
+    terms = system.equations[lhs].terms
+    for t in terms:
+        for n in range(1, max_size + 1):
+            for p in perms_of_size(n):
+                if in_term(p, t, simples) and not any(
+                        in_term(p, u, simples) for u in terms if u != t):
+                    return t
+    raise AssertionError(f"every term of {lhs} is covered by the others")
+
+
+def _mutants(amb, dis):
+    """Drop a disjoint term, duplicate one, and drop an ambiguous term that
+    no other term of its equation covers."""
+    root_terms = dis.equations[dis.root].terms
+    amb_terms = amb.equations[amb.root].terms
+    lone = _lone_term(amb, amb.root, 6)
+    return {
+        "drop disjoint": (amb, _with_terms(dis, dis.root, root_terms[1:])),
+        "duplicate disjoint": (amb, _with_terms(
+            dis, dis.root, root_terms + root_terms[:1])),
+        "drop ambiguous": (_with_terms(
+            amb, amb.root, [t for t in amb_terms if t != lone]), dis),
+    }
+
+
+@pytest.mark.parametrize("name", ["W", "B1"])
+def test_mutated_systems_fail_as_the_plain_route_says(oracle_systems, name):
+    for kind, (amb, dis) in _mutants(*oracle_systems[name]).items():
+        report = run_check(amb, dis, 6)
+        assert not all(ok for _, ok, _ in report), kind
+        assert report == _plain_report(amb, dis, 6), kind
+        for system in (amb, dis):
+            assert equation_violations(system, 6) == \
+                _plain_equation_violations(system, 6), kind
+        assert conservation_violations(amb, dis, 6) == \
+            _plain_conservation_violations(amb, dis, 6), kind
+
+
+def test_count_violations_keeps_the_oracle_cap(systems_132, monkeypatch):
+    # Sizes past DEFAULT_ORACLE_CAP scan tens of millions of permutations;
+    # the enumeration's own cap must stay in force.
+    calls = []
+
+    def recording(basis, n, **options):
+        calls.append(options)
+        return enumerate_avoiders(basis, n, **options)
+    monkeypatch.setattr(checks, "enumerate_avoiders", recording)
+    _, dis = systems_132
+    assert count_violations(dis, dis.basis, 5) == []
+    assert calls == [{}] * 5

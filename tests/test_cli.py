@@ -5,6 +5,7 @@ import json
 import pytest
 
 from permspec import cli, count_coefficients, parse_system
+from permspec.checks import check_max_size
 from permspec.cli import main
 
 ONE_SIMPLE = "1 2 4 3\n2 4 1 3\n5 3 1 6 4 2\n4 1 3 5 2\n"
@@ -175,17 +176,21 @@ def test_sample_rejects_boltzmann_options_before_building(
 
 
 def test_sample_count_table_depth_is_n(basis_file, capsys, monkeypatch):
-    # The Boltzmann sampler reads no count table, so a wide window must not
-    # deepen it.
+    # The Boltzmann sampler reads no count table, so it builds none; the
+    # exact sampler's table goes to depth n.
     depths = []
 
     def recording(system, depth):
         depths.append(depth)
         return count_coefficients(system, depth)
     monkeypatch.setattr(cli, "count_coefficients", recording)
-    assert main(["sample", "--basis", basis_file("1 3 2\n"), "-n", "5",
+    basis = basis_file("1 3 2\n")
+    assert main(["sample", "--basis", basis, "-n", "5",
                  "--method", "boltzmann", "--z", "0.2",
                  "--window", "1:3000"]) == 0
+    assert depths == []
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert main(["sample", "--basis", basis, "-n", "5"]) == 0
     assert depths == [5]
     assert len(capsys.readouterr().out.splitlines()) == 1
 
@@ -208,6 +213,24 @@ def test_check_subcommand_passes(basis_file, capsys):
                  "--max-size", "5"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+def test_check_size_is_checked_before_building(basis_file, capsys,
+                                              monkeypatch):
+    # Sizes past the oracle cap would scan tens of millions of permutations.
+    def unreachable(*args):
+        raise AssertionError("built a system for a rejected size")
+    monkeypatch.setattr(cli, "_ambiguous", unreachable)
+    basis = basis_file("1 3 2\n")
+    cases = {"0": "depth must be >= 1", "11": "oracle size 11 exceeds cap 10"}
+    for size, message in cases.items():
+        assert main(["check", "--basis", basis, "--max-size", size]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # The accepted edge, checked without running it.
+    args = cli._build_parser().parse_args(
+        ["check", "--basis", basis, "--max-size", "10"])
+    assert args.max_size == 10
+    check_max_size(args.max_size)
 
 
 def test_json_mirrors(basis_file, capsys):

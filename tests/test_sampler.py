@@ -213,3 +213,15 @@ def test_worked_boltzmann_stream_is_pinned(systems_one_simple):
         "9 7 8 2 3 4 5 6 1 10",
         "12 13 11 5 7 6 8 9 4 3 1 2 10",
     ]
+
+
+def test_boltzmann_state_needs_no_count_table(systems_one_simple):
+    # Only the exact sampler reads the table; the Boltzmann stream is the
+    # same with or without one.
+    _, disjoint = systems_one_simple
+    bare = SamplerState(disjoint, seed=0)
+    full = SamplerState(disjoint, count_coefficients(disjoint, 20), seed=0)
+    assert [sample_boltzmann(bare, 0.19, (10, 40)) for _ in range(5)] == \
+        [sample_boltzmann(full, 0.19, (10, 40)) for _ in range(5)]
+    with pytest.raises(ValueError, match="needs a count table"):
+        sample_exact(bare, 5)
