@@ -1,9 +1,10 @@
 """Finding the simple permutations of a class.
 
-The search extends known simple members by one or two new values (every
-simple permutation contains a simple one of size one or two less), and
-stops for good after two consecutive empty sizes.  When the class keeps
-producing simple permutations the search cuts off at its cap and says so.
+The search extends known simple members by one new value and adds the
+parallel alternations (such as 2 4 6 1 3 5) at even sizes: every other
+simple permutation contains a simple one of size one less.  It stops for
+good after two consecutive empty sizes.  When the class keeps producing
+simple permutations the search cuts off at its cap and says so.
 """
 
 from permspec import Perm, compute_simples

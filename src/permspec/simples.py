@@ -1,12 +1,19 @@
 """The simple permutations of a pattern-avoiding class.
 
 Breadth-first extension search with a sound stopping rule: seeds of size 4
-are found by exhaustive scan, candidates of size m are produced by inserting
-one new value into each simple avoider of size m-1 and two new values into
-each simple avoider of size m-2 (every simple permutation contains a simple
-permutation one or two sizes smaller, so nothing is missed).  Two
-consecutive empty sizes prove the set is complete; otherwise the search
-stops at the cap and the result is marked truncated.
+are found by exhaustive scan, and candidates of size m are the one-point
+extensions (one new value inserted) of the simple avoiders of size m-1,
+plus, for even m, the parallel alternations of size m.  A simple
+permutation of size n >= 5 contains a simple one of size n-1 unless it is
+a parallel alternation (Schmerl and Trotter 1993; Albert and Atkinson
+2005), and those are added directly, so nothing is missed.  Candidates are
+tested for avoidance first and simplicity second.
+
+Two consecutive empty sizes m-1 and m prove the set is complete: a simple
+avoider of size m+1 would contain a simple avoider of size m or, as a
+parallel alternation, one of size m-1 (the alternation two sizes smaller),
+and by induction the same holds at every larger size.  Otherwise the
+search stops at the cap and the result is marked truncated.
 """
 
 from __future__ import annotations
@@ -49,6 +56,15 @@ def _one_point_extensions(p: Perm) -> set[Perm]:
     return out
 
 
+def _parallel_alternations(m: int) -> set[Perm]:
+    """The symmetries of 2 4 ... m 1 3 ... m-1 for even m >= 4, all simple:
+    2413 and 3142 at m = 4, four at every larger m.  The complement of the
+    base is its reverse, so reverse and inverse reach all eight."""
+    base = tuple(range(2, m + 1, 2)) + tuple(range(1, m, 2))
+    inverse = tuple(sorted(range(1, m + 1), key=lambda i: base[i - 1]))
+    return {Perm(w) for v in (base, inverse) for w in (v, v[::-1])}
+
+
 def compute_simples(basis: Iterable[Perm],
                     cap: int = DEFAULT_SIMPLES_CAP) -> SimplesResult:
     """All simple permutations avoiding the basis, up to the cap.
@@ -65,20 +81,16 @@ def compute_simples(basis: Iterable[Perm],
         raise InvalidInputError(f"cap must be >= 6, got {cap}")
 
     def keep(p: Perm) -> bool:
-        return is_simple(p) and avoids(p, patterns)
+        return avoids(p, patterns) and is_simple(p)
 
-    levels: dict[int, set[Perm]] = {2: set(), 3: set()}
-    levels[4] = {Perm(v) for v in itertools.permutations(range(1, 5)) if keep(Perm(v))}
-
+    seeds = (Perm(v) for v in itertools.permutations(range(1, 5)))
+    levels: dict[int, set[Perm]] = {4: {p for p in seeds if keep(p)}}
     complete = False
     explored = 4
     for m in range(5, cap + 1):
-        candidates: set[Perm] = set()
+        candidates = _parallel_alternations(m) if m % 2 == 0 else set()
         for p in levels[m - 1]:
             candidates |= _one_point_extensions(p)
-        for p in levels[m - 2]:
-            for q in _one_point_extensions(p):
-                candidates |= _one_point_extensions(q)
         levels[m] = {c for c in candidates if keep(c)}
         explored = m
         if not levels[m] and not levels[m - 1]:

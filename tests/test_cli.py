@@ -1,6 +1,8 @@
 """Command-line front end: subcommands, formats, and exit codes."""
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -55,6 +57,24 @@ def test_simples_subcommand_reports_truncation(basis_file, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "# status: truncated at 8"
     assert "3 1 4 2" in out.splitlines()
+
+
+def test_simples_output_is_pinned(basis_file, capsys):
+    # Digests of the text and JSON output of the two-point search that the
+    # one-point search with parallel alternations replaced.
+    basis = basis_file("1 2 3\n")
+    assert main(["simples", "--basis", basis, "--cap", "10"]) == 2
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert len(lines) == 386
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "2b9e02f8c27e3faf00c1588b9425f0025bf8d5fdd74f27ac1c1fc594003f3620"
+    sizes = Counter(len(line.split()) for line in lines[1:])
+    assert [sizes[n] for n in range(4, 11)] == [2, 2, 7, 14, 37, 90, 233]
+
+    assert main(["simples", "--basis", basis, "--cap", "10", "--json"]) == 2
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "6372f1d72b0539f9b49b951ee9e008e7a8ad72333e41116f094362d3fdecba3f"
 
 
 def test_simples_subcommand_complete(basis_file, capsys):
