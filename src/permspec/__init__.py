@@ -58,14 +58,13 @@ from .disambiguator import (
     IterationLimitError,
     disambiguate_equation,
     disambiguate_system,
+    unproductive_nonterminals,
 )
 from .engine import (
     CountTable,
     GfSystem,
     count_coefficients,
     emit_gf_equations,
-    prune_unproductive,
-    unproductive_nonterminals,
 )
 from .sampler import (
     DivergentSeriesError,

@@ -10,15 +10,16 @@ and every way of choosing a blocking slot per embedding yields one term
 whose components avoid the patterns pushed into them.  Containment of a
 mandatory pattern is pushed down likewise, one summand per embedding;
 ``restriction_equation`` does both and seeds every equation, here and in
-the disambiguator.  New restriction sets appearing on right sides get
-their own equations until the system closes; everything lives in the
-finite pattern closure of the basis, so this terminates.
+the disambiguator.  ``close`` walks from the class's root restriction and
+gives an equation to each restriction that appears on a right side, so
+every equation is reachable from the root; everything lives in the finite
+pattern closure of the basis, so this terminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .perms import (
     InvalidInputError,
@@ -46,6 +47,13 @@ from .restrictions import (
     prune_subsumed,
     term_key,
 )
+
+# Hard ceiling on system growth; hitting it signals a bug, not a big input.
+MAX_EQUATIONS = 50_000
+
+
+class IterationLimitError(RuntimeError):
+    """Safety valve: a closure built ``MAX_EQUATIONS`` with more pending."""
 
 
 @dataclass(frozen=True)
@@ -102,13 +110,11 @@ def closure_system(simples: Iterable[Perm]) -> System:
     result is already a combinatorial specification.
     """
     simples_t = class_input((), simples).simples
-    equations = {}
-    for flavor in (FLAVOR_ALL, FLAVOR_SUM_INDEC, FLAVOR_SKEW_INDEC):
-        lhs = Restriction(flavor)
-        equations[lhs] = make_equation(
-            lhs, True, closure_terms(flavor, simples_t))
-    return System(root=Restriction(FLAVOR_ALL), equations=equations,
-                  basis=(), simples=simples_t, mode=MODE_DISJOINT)
+    root = Restriction(FLAVOR_ALL)
+    equations = close(root, lambda lhs: make_equation(
+        lhs, True, closure_terms(lhs.flavor, simples_t)))
+    return System(root=root, equations=equations, basis=(),
+                  simples=simples_t, mode=MODE_DISJOINT)
 
 
 def _push_avoidance(args: tuple[Restriction, ...], excluded: Perm,
@@ -201,29 +207,37 @@ def restriction_equation(r: Restriction, simples: Iterable[Perm]) -> Equation:
     return make_equation(r, not r.contain, terms)
 
 
-def ambiguous_system(ci: ClassInput) -> System:
-    """The full (possibly ambiguous) system describing the class.
+def close(root: Restriction, equation: Callable[[Restriction], Equation]
+          ) -> dict[Restriction, Equation]:
+    """The equations of the root and of every restriction it reaches.
 
-    Seeds equations for all three flavors restricted to the non-simple
-    basis elements, then keeps adding equations for restrictions that occur
-    on a right side only, until the system closes.
+    A worklist from the root: each restriction taken gets ``equation(lhs)``,
+    and the components of its terms not seen before are queued.
     """
-    survivors = ci.non_simple_basis
-    root = Restriction(FLAVOR_ALL, survivors)
     equations: dict[Restriction, Equation] = {}
-    pending = [Restriction(f, survivors) for f in
-               (FLAVOR_ALL, FLAVOR_SUM_INDEC, FLAVOR_SKEW_INDEC)]
-    queued = set(pending)
-    while pending:
-        lhs = pending.pop(0)
-        # Only the seeds can be statically empty, when the basis is {1}.
-        eq = (make_equation(lhs, False, ()) if lhs.empty
-              else restriction_equation(lhs, ci.simples))
-        equations[lhs] = eq
+    order = [root]
+    queued = {root}
+    for lhs in order:  # grows as new components are queued
+        if len(equations) == MAX_EQUATIONS:
+            raise IterationLimitError(
+                f"equation ceiling of {MAX_EQUATIONS} reached: "
+                f"{len(equations)} equations built, "
+                f"{len(order) - len(equations)} restrictions still pending")
+        eq = equations[lhs] = equation(lhs)
         for t in eq.terms:
             for comp in t.args:
                 if comp not in queued:
                     queued.add(comp)
-                    pending.append(comp)
+                    order.append(comp)
+    return equations
+
+
+def ambiguous_system(ci: ClassInput) -> System:
+    """The full (possibly ambiguous) system describing the class: the
+    closure of its root, or the root alone, with an empty right side, when
+    the basis is {1} and the root is statically empty."""
+    root = Restriction(FLAVOR_ALL, ci.non_simple_basis)
+    equations = ({root: make_equation(root, False, ())} if root.empty else
+                 close(root, lambda lhs: restriction_equation(lhs, ci.simples)))
     return System(root=root, equations=equations, basis=ci.basis,
                   simples=ci.simples, mode=MODE_AMBIGUOUS)

@@ -7,14 +7,13 @@ it may intersect; summands with distinct roots are disjoint outright.  The
 complement of a term is split at the first slot that leaves it, one term
 per complement cell of that slot.  Complementing flips avoidance
 constraints into containment constraints, which is what restrictions with
-mandatory patterns are for.  Restrictions appearing on right sides only then
-receive equations of their own from the builder's ``restriction_equation``:
-the closure shape with avoidance pushed down, followed by containment
-pushed down through the embeddings of each mandatory pattern in the root
-(one summand per embedding).  The new equations may again be ambiguous;
-the loop continues until the system is closed and every equation is
-disjoint, which happens after finitely many rounds because every
-constraint pattern lives in the pattern closure of the basis.
+mandatory patterns are for.  The builder's ``close`` runs from the root,
+making each equation reached disjoint; a restriction on a right side only
+is first seeded by ``restriction_equation``.  A second ``close`` drops the
+terms that use a memberless nonterminal, so the specification is trimmed:
+every nonterminal is reachable from the root and generates some member.
+Both walks are finite, since every constraint pattern lives in the
+pattern closure of the basis.
 """
 
 from __future__ import annotations
@@ -25,20 +24,14 @@ from functools import reduce
 from .restrictions import (
     MODE_DISJOINT,
     Equation,
+    Restriction,
     System,
     Term,
     intersect_terms,
     complement_term,
     make_equation,
 )
-from .builder import restriction_equation
-
-# Hard ceiling on system growth; hitting it signals a bug, not a big input.
-MAX_EQUATIONS = 50_000
-
-
-class IterationLimitError(RuntimeError):
-    """Safety valve for runaway disambiguation."""
+from .builder import IterationLimitError, close, restriction_equation
 
 
 def _meet(cells: list[Term], pool: list[Term]) -> list[Term]:
@@ -64,25 +57,40 @@ def disambiguate_equation(eq: Equation) -> Equation:
     return make_equation(eq.lhs, eq.has_atom, terms)
 
 
-def disambiguate_system(system: System) -> System:
-    """The combinatorial specification equivalent to the given system.
+def unproductive_nonterminals(system: System) -> frozenset[Restriction]:
+    """Nonterminals that generate no permutation at all.
 
-    Alternates two moves until a fixed point: make every pending equation
-    disjoint, and add equations for restrictions that occur on a right
-    side only; those are the next round's pending equations.  The root and
-    its members are unchanged.
+    Least fixpoint: a nonterminal is productive when its equation has the
+    atom or some term with every component productive.
     """
-    work = replace(system, equations=dict(system.equations))
-    equations = work.equations
-    pending = list(equations)
-    while pending:
-        for lhs in pending:
-            equations[lhs] = disambiguate_equation(equations[lhs])
-        pending = work.right_only()
-        for lhs in pending:
-            equations[lhs] = restriction_equation(lhs, system.simples)
-        if len(equations) > MAX_EQUATIONS:
-            raise IterationLimitError(
-                f"system grew past {MAX_EQUATIONS} equations")
-    work.mode = MODE_DISJOINT
-    return work
+    productive: set[Restriction] = set()
+    while new := {r for r, eq in system.equations.items()
+                  if r not in productive and (eq.has_atom or any(
+                      productive.issuperset(t.args) for t in eq.terms))}:
+        productive |= new
+    return frozenset(system.equations.keys() - productive)
+
+
+def disambiguate_system(system: System) -> System:
+    """The trimmed combinatorial specification of the system's root.
+
+    The first closure from the root makes every equation it reaches
+    disjoint; the second keeps, of each equation reached, the terms that
+    use no unproductive nonterminal.  The root and its members are
+    unchanged.
+    """
+    def disjoint(lhs: Restriction) -> Equation:
+        return disambiguate_equation(
+            system.equations[lhs] if lhs in system.equations
+            else restriction_equation(lhs, system.simples))
+
+    untrimmed = replace(system, equations=close(system.root, disjoint),
+                        mode=MODE_DISJOINT)
+    dead = unproductive_nonterminals(untrimmed)
+
+    def trimmed(lhs: Restriction) -> Equation:
+        eq = untrimmed.equations[lhs]
+        return replace(eq, terms=tuple(
+            t for t in eq.terms if dead.isdisjoint(t.args)))
+
+    return replace(untrimmed, equations=close(system.root, trimmed))

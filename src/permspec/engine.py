@@ -20,7 +20,6 @@ from operator import mul
 from .perms import InvalidInputError
 from .restrictions import (
     MODE_DISJOINT,
-    Equation,
     Restriction,
     System,
     Term,
@@ -124,41 +123,3 @@ class CountTable:
 def count_coefficients(system: System, depth: int = DEFAULT_COUNT_DEPTH) -> CountTable:
     """Exact membership counts per nonterminal for sizes 1..depth."""
     return CountTable(system, depth)
-
-
-def unproductive_nonterminals(system: System) -> frozenset[Restriction]:
-    """Nonterminals that generate no permutation at all.
-
-    Least fixpoint: a nonterminal is productive when its equation has the
-    atom or some term with every component productive.
-    """
-    productive: set[Restriction] = set()
-    changed = True
-    while changed:
-        changed = False
-        for r, eq in system.equations.items():
-            if r in productive:
-                continue
-            if eq.has_atom or any(
-                    all(a in productive for a in t.args) for t in eq.terms):
-                productive.add(r)
-                changed = True
-    return frozenset(set(system.equations) - productive)
-
-
-def prune_unproductive(system: System) -> System:
-    """Drop unproductive nonterminals and the terms that mention them.
-
-    The root equation is kept even when unproductive (it then generates
-    nothing); root coefficients are unchanged by the pruning.
-    """
-    dead = unproductive_nonterminals(system)
-    equations = {}
-    for r, eq in system.equations.items():
-        if r in dead and r != system.root:
-            continue
-        kept = tuple(t for t in eq.terms
-                     if not any(a in dead for a in t.args))
-        equations[r] = Equation(eq.lhs, eq.has_atom, kept)
-    return System(root=system.root, equations=equations, basis=system.basis,
-                  simples=system.simples, mode=system.mode)

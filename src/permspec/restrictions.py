@@ -337,13 +337,6 @@ class System:
     simples: tuple[Perm, ...]
     mode: str
 
-    def right_only(self) -> list[Restriction]:
-        """Restrictions used in some term but lacking an equation."""
-        missing = {a for eq in self.equations.values()
-                   for t in eq.terms for a in t.args
-                   if a not in self.equations}
-        return sorted(missing, key=restriction_key)
-
     def ordered_lhs(self) -> list[Restriction]:
         """Left sides in output order: the root first, the rest canonically."""
         rest = sorted((r for r in self.equations if r != self.root),
@@ -351,7 +344,10 @@ class System:
         return ([self.root] if self.root in self.equations else []) + rest
 
     def is_closed(self) -> bool:
-        return not self.right_only() and self.root in self.equations
+        """True when the root and every restriction in a term have equations."""
+        return self.root in self.equations and all(
+            a in self.equations for eq in self.equations.values()
+            for t in eq.terms for a in t.args)
 
     def simples_set(self) -> frozenset[Perm]:
         return frozenset(self.simples)

@@ -29,12 +29,15 @@ from permspec import (
     intersect_terms,
     restriction_equation,
     rhs_multiplicity,
+    unproductive_nonterminals,
 )
+from permspec import builder, disambiguator
 from permspec.checks import run_check
+from permspec.cli import main
 from permspec.perms import ROOT_12, ROOT_21
 from permspec.restrictions import make_equation, term_key
 
-from conftest import pc, perms_of_size
+from conftest import CORPUS, pc, perms_of_size
 
 
 def CA(*avoid, contain=()):
@@ -326,3 +329,47 @@ def test_constraints_stay_inside_basis_pattern_closure(all_systems):
             for r in [lhs] + [a for t in eq.terms for a in t.args]:
                 for pattern in r.avoid + r.contain:
                     assert any(contains(b, pattern) for b in basis), pattern
+
+
+def _reachable(system):
+    """The restrictions reachable from the root through the right sides."""
+    seen, stack = {system.root}, [system.root]
+    while stack:
+        for t in system.equations[stack.pop()].terms:
+            for a in t.args:
+                if a not in seen:
+                    seen.add(a)
+                    stack.append(a)
+    return seen
+
+
+def test_systems_are_trimmed(systems_one_simple, corpus_systems):
+    # Both stages are closures from the root, and the disambiguator drops
+    # the terms using a memberless nonterminal: every equation is reachable
+    # and generating, and only such terms are missing from a disjoint
+    # equation made afresh from its left side.
+    for name, (amb, dis) in {"W": systems_one_simple,
+                             **corpus_systems}.items():
+        for system in (amb, dis):
+            assert _reachable(system) == set(system.equations), name
+        assert not unproductive_nonterminals(dis), name
+        for lhs, eq in dis.equations.items():
+            full = disambiguate_equation(restriction_equation(lhs, dis.simples))
+            assert set(eq.terms) <= set(full.terms), (name, lhs.name())
+
+
+def test_growth_guard_says_how_far_the_closure_got(corpus_systems, tmp_path,
+                                                   monkeypatch, capsys):
+    amb, _ = corpus_systems["L1"]
+    monkeypatch.setattr(builder, "MAX_EQUATIONS", 5)
+    message = r"ceiling of 5 reached: 5 equations built, [1-9]\d* restrictions"
+    with pytest.raises(disambiguator.IterationLimitError, match=message):
+        ambiguous_system(class_input(amb.basis, amb.simples))
+    with pytest.raises(disambiguator.IterationLimitError, match=message):
+        disambiguate_system(amb)
+    basis = tmp_path / "basis.txt"
+    basis.write_text("".join(" ".join(b) + "\n" for b in CORPUS["L1"]))
+    assert main(["spec", "--basis", str(basis)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "internal error: IterationLimitError: equation ceiling of 5 reached: "
+        "5 equations built, ")

@@ -1,5 +1,7 @@
 """Counting back end: generating functions, exact coefficients, productivity."""
 
+from dataclasses import replace
+
 import pytest
 
 from permspec import (
@@ -9,11 +11,14 @@ from permspec import (
     Restriction,
     closure_system,
     count_coefficients,
+    disambiguate_equation,
+    disambiguate_system,
     emit_gf_equations,
     in_restriction,
-    prune_unproductive,
+    restriction_equation,
     unproductive_nonterminals,
 )
+from permspec.builder import close
 from permspec.restrictions import System, make_equation
 
 from conftest import pc, perms_of_size
@@ -139,30 +144,41 @@ def test_suffix_rows_convolve_the_next_row(systems_one_simple):
                         for m in range(1, r + 1))
 
 
-def test_productivity(systems_one_simple):
-    _, disjoint = systems_one_simple
-    simples = disjoint.simples_set()
-    dead_set = unproductive_nonterminals(disjoint)
+def test_productivity(corpus_systems):
+    # The closure from the root with every equation made disjoint, before
+    # disambiguate_system trims it: on L1 and B3 it reaches nonterminals
+    # with no member at all.  The flavor interplay can empty a restriction
+    # the static flag misses (an increasing permutation of size 2 or more
+    # is never sum-indecomposable, say), and the analysis catches those.
+    memberless = {
+        "L1": {"C+<2 1;1 2 3>(1 2)"},
+        "B3": {"C+<2 1>(1 2)", "C+<2 1;1 2 3>(1 2)",
+               "C-<1 3 2;2 1 3;2 3 1;1 2 3 4>(1 2;2 1)"},
+    }
+    for name, names in memberless.items():
+        amb, _ = corpus_systems[name]
+        untrimmed = replace(amb, mode=MODE_DISJOINT, equations=close(
+            amb.root, lambda lhs: disambiguate_equation(
+                restriction_equation(lhs, amb.simples))))
+        simples = untrimmed.simples_set()
+        dead_set = unproductive_nonterminals(untrimmed)
+        assert {r.name() for r in dead_set} == names
 
-    # Unproductive nonterminals are exactly the ones with no member at all;
-    # the flavor interplay can empty a restriction the static flag misses
-    # (an increasing permutation of size 2 or more is never
-    # sum-indecomposable, say), and the analysis catches those.
-    table = count_coefficients(disjoint, 8)
-    for lhs in disjoint.equations:
-        members = any(in_restriction(p, lhs, simples)
-                      for n in range(1, 7) for p in perms_of_size(n))
-        row = any(table.count(lhs, n) for n in range(1, 9))
-        if lhs in dead_set:
-            assert not members and not row, lhs.name()
-        else:
-            assert row, lhs.name()
+        table = count_coefficients(untrimmed, 8)
+        for lhs in untrimmed.equations:
+            members = any(in_restriction(p, lhs, simples)
+                          for n in range(1, 7) for p in perms_of_size(n))
+            row = any(table.count(lhs, n) for n in range(1, 9))
+            if lhs in dead_set:
+                assert not members and not row, lhs.name()
+            else:
+                assert row, lhs.name()
 
-    pruned = prune_unproductive(disjoint)
-    assert dead_set.isdisjoint(pruned.equations)
-    after = count_coefficients(pruned, 8)
-    for n in range(1, 9):
-        assert table.root_count(n) == after.root_count(n)
+        trimmed = disambiguate_system(amb)
+        assert dead_set.isdisjoint(trimmed.equations)
+        after = count_coefficients(trimmed, 8)
+        for n in range(1, 9):
+            assert table.root_count(n) == after.root_count(n)
 
 
 def test_productivity_flags_statically_empty_graft(systems_one_simple):
@@ -174,7 +190,7 @@ def test_productivity_flags_statically_empty_graft(systems_one_simple):
                      basis=disjoint.basis, simples=disjoint.simples,
                      mode=MODE_DISJOINT)
     assert dead in unproductive_nonterminals(grafted)
-    assert dead not in prune_unproductive(grafted).equations
+    assert dead not in disambiguate_system(grafted).equations
 
 
 def test_root_of_nonempty_class_is_productive(systems_132):

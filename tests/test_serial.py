@@ -104,20 +104,22 @@ def test_json_mirror(systems_one_simple):
 
 def test_worked_disjoint_spec_text_is_pinned(systems_one_simple,
                                              corpus_systems):
-    # Recaptured when each equation became "every term minus the earlier
-    # ones" (a smaller specification of the same class), each after its
-    # specification passed run_check at size 7 and matched the earlier
-    # root counts to n=40; any change to the format of record or to the
-    # disambiguation must show up here.
+    # Recaptured when both stages became closures from the root and the
+    # disambiguator began dropping terms that use a memberless nonterminal,
+    # which removed the unreachable and memberless equations from the text.
+    # Each specification first passed run_check at size 7, matched the
+    # earlier root counts to n=40 and kept every other equation as it was;
+    # any change to the format of record or to the disambiguation must show
+    # up here.
     pinned = {
-        "W": "45ff6b419e122b152242b3e3a426aea30b843ecb484abe1c624f7c607f8ffba0",
-        "L1": "dae927c8980d795031cff95c8a1372414220d5f3c6b9d1e66cf44132f979761c",
-        "L2": "7cc97e053c537a2a75ec94720015be95f474c4e41164be023a5094a5989bbf3b",
-        "L4": "6634cd8e537e6293d800276310958ecfbcf442c77085ea039f80eca33dc387a4",
-        "B1": "7eb01fc327bb9e4d199393ec63326dafa2cfe38b6ee6a23fbc13169a15e9e99b",
-        "B2": "a93985977644b0c3fae227e841539c67565c06ac665285c1e1af3dbc776a9102",
-        "B3": "82c7450e5a5c7666b82c2da13370c598272c43882b48edf2f3c42d6d2a8cedfa",
-        "B4": "f930b4537858a3c7e81da9e80dcdb73c56abb9cb7d0df48be977ebaaa3571bbe",
+        "W": "796cc48692f6515a68704c31d1c6f6dab362573f6b7483ab24fbb611f8fec61e",
+        "L1": "28a9ec5761d3f9c37fe57d5953e9efe1447e441402a796c330e690f345a80501",
+        "L2": "a37f0faf12d058f4e94d0aaecc5678a0fe5a2ea365d6e4fd5f4c457297efc40f",
+        "L4": "cc6247e3de6451c700508e532b93a885d5582b620a3657931c7163abc3655f66",
+        "B1": "8b28920793e15124ef4c44f24c292ed617794348af4a6fb6903e1df2b6460cc0",
+        "B2": "d0fd2815756f945fec118efc5421756c32f656e5a8dffe170fa9c0ecaac07f1a",
+        "B3": "6e0a9105ff5fb51e8ea73ca88e710345a1b69f82aecce5f7831deebf70b07b16",
+        "B4": "84327244fbe8cd28babd6ac22a09275da7df369c9a56feefd8f62c3a07490bcc",
     }
     texts = {"W": serialize_system(systems_one_simple[1])}
     texts.update((name, serialize_system(disjoint))
