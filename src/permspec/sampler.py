@@ -13,15 +13,16 @@ Size-randomized (Boltzmann) sampling replaces the counts by numeric
 series values at a parameter z inside the radius of convergence; the
 values are obtained by monotone fixpoint iteration from zero, which is
 valid because the system is positive.  Conditioned on its size the output
-is uniform, so rejection against a size window keeps uniformity.
-
-Both samplers are generators run on the explicit stack of
-``perms.recurse``, so members nested as deep as their size draw past any
-recursion limit.
+is uniform, so rejection against a size window keeps uniformity.  A draw
+picks its terms (its shape) from per-z weight tables, and only a shape
+whose size falls in the window is built: anticipated rejection (Duchon,
+Flajolet, Louchard and Schaeffer 2004).  Only the exact sampler runs on
+``perms.recurse``; both draw members of any nesting depth.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -47,10 +48,6 @@ class RejectionBudgetError(RuntimeError):
     """Too many size-window rejections in a row."""
 
 
-class _Oversize(Exception):
-    """Internal: abandon a draw that already exceeds the window."""
-
-
 @dataclass
 class SamplerState:
     """A specification, its count table, and a seeded random source.
@@ -71,7 +68,7 @@ class SamplerState:
         if self.target not in self.system.equations:
             raise ValueError(f"no equation for target {self.target}")
         self.rng = random.Random(self.seed)
-        self._series: dict[float, dict[Restriction, float]] = {}
+        self._tables: dict[float, list] = {}
 
 
 def sample_exact(state: SamplerState, n: int) -> Perm:
@@ -175,55 +172,73 @@ def sample_boltzmann(state: SamplerState, z: float,
 
     Draws from the size-randomized distribution at parameter z and rejects
     sizes outside the window; draws are abandoned early once they exceed
-    the window's upper end.
+    the window's upper end, and only accepted draws are built.
     """
     check_boltzmann_options(z, window)
     lo, hi = window
     key = float(z)
-    if key not in state._series:
-        state._series[key] = evaluate_series(state.system, key)
-    values = state._series[key]
+    if key not in state._tables:
+        state._tables[key] = _weight_table(
+            state.system, evaluate_series(state.system, key), key)
+    table = state._tables[key]
+    start = list(state.system.equations).index(state.target)
     for _ in range(budget):
-        counter = [hi]
-        try:
-            p = recurse(
-                _boltzmann_draw(state, state.target, values, key, counter))
-        except _Oversize:
-            continue
-        if lo <= len(p) <= hi:
-            return p
+        shape = _draw_shape(state.rng.random, table, start, lo, hi)
+        if shape is not None:
+            return _build(shape)
     raise RejectionBudgetError(
         f"no size in [{lo}, {hi}] after {budget} draws at z={z}")
 
 
-def _boltzmann_draw(state: SamplerState, r: Restriction,
-                    values: dict[Restriction, float], z: float,
-                    counter: list[int]):
-    if counter[0] <= 0:
-        raise _Oversize
-    eq = state.system.equations[r]
-    weights = []
-    total = 0.0
-    if eq.has_atom:
-        total += z
-    for term in eq.terms:
-        w = 1.0
-        for comp in term.args:
-            w *= values[comp]
-        weights.append(w)
-        total += w
-    u = state.rng.random() * total
-    if eq.has_atom:
-        if u < z:
-            counter[0] -= 1
-            return Perm((1,))
-        u -= z
-    for term, w in zip(eq.terms, weights):
-        if u < w:
-            parts = []
-            for comp in term.args:
-                parts.append(
-                    (yield _boltzmann_draw(state, comp, values, z, counter)))
-            return substitute(root_perm(term.root), parts)
-        u -= w
-    raise AssertionError(f"inconsistent series weights for {r}")
+def _weight_table(system: System, values: dict[Restriction, float], z: float):
+    """Per equation, by position: its choices as (root, component indices,
+    weight), an atom first as (1, (), z), and their total; products and
+    sums run from the left, as in ``evaluate_series``."""
+    index = {r: i for i, r in enumerate(system.equations)}
+    table = []
+    for eq in system.equations.values():
+        terms = [(Perm((1,)), (), z)] if eq.has_atom else []
+        terms += [(root_perm(t.root), tuple(index[c] for c in t.args),
+                   math.prod((values[c] for c in t.args), start=1.0))
+                  for t in eq.terms]
+        total = 0.0
+        for term in terms:
+            total += term[2]
+        table.append((terms, total))
+    return table
+
+
+def _draw_shape(random, table: list, start: int, lo: int, hi: int):
+    """One draw's choices in preorder, or None outside [lo, hi]; abandoned
+    when a node is due after hi atoms.  One random() call per node."""
+    shape = []
+    stack = [start]
+    atoms = 0
+    while stack:
+        if atoms >= hi:
+            return None
+        terms, total = table[stack.pop()]
+        u = random() * total
+        for term in terms:
+            if u < term[2]:
+                break
+            u -= term[2]
+        else:
+            raise AssertionError("inconsistent series weights")
+        shape.append(term)
+        if term[1]:
+            stack.extend(reversed(term[1]))
+        else:
+            atoms += 1
+    return shape if atoms >= lo else None
+
+
+def _build(shape: list) -> Perm:
+    """Fold a preorder shape from its end; a term's first part is on top."""
+    stack: list[Perm] = []
+    for root, comps, _ in reversed(shape):
+        cut = len(stack) - len(comps)
+        parts = stack[cut:][::-1]
+        del stack[cut:]
+        stack.append(substitute(root, parts) if comps else root)
+    return stack[0]

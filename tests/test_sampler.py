@@ -1,6 +1,7 @@
 """Random generation: exact uniformity, membership, reproducibility, and the
 size-randomized sampler's numeric oracle."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -21,9 +22,10 @@ from permspec import (
     sample_boltzmann,
     sample_exact,
 )
-from permspec.perms import avoids
+from permspec import sampler
+from permspec.perms import avoids, recurse, root_perm, substitute
 
-from conftest import BASIS_132, BASIS_ONE_SIMPLE, pc
+from conftest import BASIS_132, BASIS_ONE_SIMPLE, CORPUS, _pipeline, pc
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +227,181 @@ def test_boltzmann_state_needs_no_count_table(systems_one_simple):
         [sample_boltzmann(full, 0.19, (10, 40)) for _ in range(5)]
     with pytest.raises(ValueError, match="needs a count table"):
         sample_exact(bare, 5)
+
+
+# --- Boltzmann draws against the per-visit sampler they replaced ------------
+
+class _Oversize(Exception):
+    pass
+
+
+def per_visit_reference(state, z, window, budget):
+    """The earlier Boltzmann sampler, kept as a reference: a generator on
+    ``recurse`` that recomputes its equation's weights at every visit and
+    builds every attempt, rejected or not, drawing from ``state.rng``."""
+    lo, hi = window
+    values = evaluate_series(state.system, z)
+
+    def draw(r, counter):
+        if counter[0] <= 0:
+            raise _Oversize
+        eq = state.system.equations[r]
+        weights = []
+        total = 0.0
+        if eq.has_atom:
+            total += z
+        for term in eq.terms:
+            w = 1.0
+            for comp in term.args:
+                w *= values[comp]
+            weights.append(w)
+            total += w
+        u = state.rng.random() * total
+        if eq.has_atom:
+            if u < z:
+                counter[0] -= 1
+                return Perm((1,))
+            u -= z
+        for term, w in zip(eq.terms, weights):
+            if u < w:
+                parts = []
+                for comp in term.args:
+                    parts.append((yield draw(comp, counter)))
+                return substitute(root_perm(term.root), parts)
+            u -= w
+        raise AssertionError(f"inconsistent series weights for {r}")
+
+    for _ in range(budget):
+        try:
+            p = recurse(draw(state.target, [hi]))
+        except _Oversize:
+            continue
+        if lo <= len(p) <= hi:
+            return p
+    raise RejectionBudgetError(
+        f"no size in [{lo}, {hi}] after {budget} draws at z={z}")
+
+
+L3 = ("1423", "2431", "4123", "24153", "51432")
+
+# (basis, z, window) of every Boltzmann stream the benchmark draws: the sha256
+# of the first 20 draws at seed 0, one per line, captured from the per-visit
+# sampler, and a budget that some draws of seed 7 run out of.
+BOLTZMANN_STREAMS = {
+    ("W", 0.21, (50, 100)): (
+        "d8dba70cb3be955d81cd28999d7de1fbb9864282cce0de829a1e1e1a083d1316",
+        20),
+    ("W", 0.19, (10, 40)): (
+        "761808869d809864427103a5c28087be476937545c020960e6f94811c2e60ee9",
+        10),
+    ("L1", 0.35, (10, 40)): (
+        "0aa40f796ff317273b36006d6c9355b35eb6bf23c2cb2571b0b66c6a44865952",
+        2),
+    ("L3", 0.35, (10, 40)): (
+        "fa6140b4b27f4dcbfcc46edd7f0232f927df3dcf31a5886d41977d6ad913eae3",
+        2),
+    ("B1", 0.24, (10, 40)): (
+        "3fcecbe9c7f07dfba781a8c70e6c7be7d46674d1443be468f6af8b7c177c686d",
+        3),
+    ("B4", 0.32, (10, 40)): (
+        "d7bf4d190dda35bdf06dbd08e6dcaa435b300537a9d01995a30e2892271372a6",
+        2),
+}
+
+
+@pytest.fixture(scope="module")
+def stream_systems(systems_one_simple, corpus_systems):
+    systems = {"W": systems_one_simple[1],
+               "L3": _pipeline(tuple(pc(b) for b in L3), cap=10)[1]}
+    for name in ("L1", "B1", "B4"):
+        systems[name] = corpus_systems[name][1]
+    return systems
+
+
+def _outcomes(draw, state, z, window, budget, k):
+    """k calls of one sampler: each draw's text, or its budget error."""
+    out = []
+    for _ in range(k):
+        try:
+            out.append(str(draw(state, z, window, budget)))
+        except RejectionBudgetError as exc:
+            out.append(f"error: {exc}")
+    return out
+
+
+@pytest.mark.parametrize("stream", BOLTZMANN_STREAMS,
+                         ids=lambda s: f"{s[0]}-z{s[1]}-{s[2][0]}:{s[2][1]}")
+def test_boltzmann_streams_match_per_visit_reference(stream_systems, stream):
+    name, z, window = stream
+    system = stream_systems[name]
+    for seed in range(5):
+        args = (z, window, sampler.DEFAULT_REJECTION_BUDGET, 10)
+        assert _outcomes(sample_boltzmann, SamplerState(system, seed=seed),
+                         *args) == \
+            _outcomes(per_visit_reference, SamplerState(system, seed=seed),
+                      *args), seed
+    # A tight budget runs out on some draws: the error must come at the same
+    # draw, and the stream must go on alike after it.
+    digest, budget = BOLTZMANN_STREAMS[stream]
+    args = (z, window, budget, 40)
+    new = _outcomes(sample_boltzmann, SamplerState(system, seed=7), *args)
+    assert new == _outcomes(per_visit_reference, SamplerState(system, seed=7),
+                            *args)
+    errors = sum(o.startswith("error") for o in new)
+    assert 0 < errors < len(new)
+    state = SamplerState(system, seed=0)
+    text = "\n".join(str(sample_boltzmann(state, z, window))
+                     for _ in range(20))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_rejected_boltzmann_attempts_build_nothing(systems_one_simple,
+                                                   monkeypatch):
+    # A tree with n leaves, each inner node of two or more children, has at
+    # most n - 1 inner nodes: one substitution each, if only kept draws are
+    # built.  Building every attempt as well made 11,849 calls here, against
+    # 3,029 for the kept draws (bound 3,325).
+    calls = []
+
+    def counting(skeleton, args):
+        calls.append(len(args))
+        return substitute(skeleton, args)
+    monkeypatch.setattr(sampler, "substitute", counting)
+    state = SamplerState(systems_one_simple[1], seed=0)
+    draws = [sample_boltzmann(state, 0.21, (50, 100)) for _ in range(50)]
+    assert 0 < len(calls) <= sum(len(p) - 1 for p in draws)
+
+
+@pytest.mark.parametrize("name, z", [("W", 0.21), ("W", 0.19), ("L1", 0.35),
+                                     ("B1", 0.24)])
+def test_weight_tables_equal_per_visit_products(stream_systems, name, z):
+    system = stream_systems[name]
+    values = evaluate_series(system, z)
+    table = sampler._weight_table(system, values, z)
+    assert len(table) == len(system.equations)
+    for (choices, total), eq in zip(table, system.equations.values()):
+        weights = [z] if eq.has_atom else []
+        want = 0.0
+        if eq.has_atom:
+            want += z
+        for term in eq.terms:
+            w = 1.0
+            for comp in term.args:
+                w *= values[comp]
+            weights.append(w)
+            want += w
+        assert [w for _, _, w in choices] == weights
+        assert total == want
+        comps = [tuple(list(system.equations)[i] for i in c)
+                 for _, c, _ in choices[eq.has_atom:]]
+        assert comps == [term.args for term in eq.terms]
+
+
+def test_boltzmann_deep_chain_needs_no_recursion():
+    # Av(21) holds only identities, whose trees nest as deep as the size.
+    disjoint = disambiguate_system(
+        ambiguous_system(class_input([pc("21")], [])))
+    state = SamplerState(disjoint, seed=4)
+    p = sample_boltzmann(state, 0.9995, (1900, 2100))
+    assert 1900 <= len(p) <= 2100
+    assert p == Perm(tuple(range(1, len(p) + 1)))
