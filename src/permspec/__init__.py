@@ -17,8 +17,6 @@ from .perms import (
     gen_substitute,
     indecomposability,
     is_simple,
-    is_skew_decomposable,
-    is_sum_decomposable,
     minimal_patterns,
     pattern_of,
     rebuild,

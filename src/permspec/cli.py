@@ -178,7 +178,7 @@ def _cmd_simples(args) -> int:
         _emit(args, dump_json({
             "schema": JSON_SCHEMA, "kind": "simples",
             "status": result.status, "explored": result.explored,
-            "simples": [list(p.values) for p in result.simples]}))
+            "simples": [list(p) for p in result.simples]}))
     else:
         lines = [f"# status: {result.status}"]
         lines += [str(p) for p in result.simples]
@@ -205,7 +205,7 @@ def _cmd_count(args) -> int:
     if args.json:
         _emit(args, dump_json({
             "schema": JSON_SCHEMA, "kind": "counts",
-            "basis": [list(b.values) for b in system.basis],
+            "basis": [list(b) for b in system.basis],
             "counts": {str(n): str(c) for n, c in table.root_counts()}}))
     else:
         _emit(args, "".join(f"{n}\t{c}\n" for n, c in table.root_counts()))
@@ -258,7 +258,7 @@ def _cmd_sample(args) -> int:
         _emit(args, dump_json({
             "schema": JSON_SCHEMA, "kind": "samples", "seed": args.seed,
             "method": args.method,
-            "samples": [list(p.values) for p in draws]}))
+            "samples": [list(p) for p in draws]}))
     else:
         _emit(args, "".join(str(p) + "\n" for p in draws))
     return EXIT_OK

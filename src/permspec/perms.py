@@ -1,11 +1,11 @@
 """Permutations in one-line notation and their substitution structure.
 
-A permutation of size n is an immutable tuple holding each of 1..n exactly
-once.  This module provides the primitives everything else is built on:
-pattern containment, interval and simplicity detection, (generalized)
-substitution, the canonical substitution decomposition tree, embeddings of a
-permutation into a substitution root, and a brute-force enumeration oracle
-for pattern-avoiding classes.
+A permutation of size n is a ``Perm``: a tuple, checked on construction to
+hold each of 1..n exactly once.  This module provides the primitives
+everything else is built on: pattern containment, interval and simplicity
+detection, (generalized) substitution, the canonical substitution
+decomposition tree, embeddings of a permutation into a substitution root,
+and a brute-force enumeration oracle for pattern-avoiding classes.
 
 The text form of a permutation is space separated, e.g. ``"3 1 4 2"``, so
 that sizes above 9 stay unambiguous.
@@ -31,23 +31,33 @@ class InvalidInputError(ValueError):
     arguments; any other ValueError signals a bug."""
 
 
-@dataclass(frozen=True)
-class Perm:
+class Perm(tuple):
     """A permutation of {1..n}, n >= 1, in one-line notation.
+
+    It is the tuple of its values, so it compares and hashes like that
+    tuple, and slicing gives a plain tuple.
 
     >>> str(Perm((3, 1, 4, 2)))
     '3 1 4 2'
     >>> Perm.from_text("3 1 4 2") == Perm((3, 1, 4, 2))
     True
+    >>> Perm([3, 1, 2]), Perm([3, 1, 2]) == (3, 1, 2)
+    (Perm((3, 1, 2)), True)
     """
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals or sorted(vals) != list(range(1, len(vals) + 1)):
-            raise ValueError(f"not a permutation of 1..n: {vals!r}")
+    def __new__(cls, values: Iterable[int]):
+        self = tuple.__new__(cls, values)
+        if not self or sorted(self) != list(range(1, len(self) + 1)):
+            raise ValueError(
+                f"not a permutation of 1..n: {tuple.__repr__(self)}")
+        return self
+
+    @property
+    def values(self) -> "Perm":
+        """The permutation itself, for callers that spell out the values."""
+        return self
 
     @classmethod
     def from_text(cls, text: str) -> "Perm":
@@ -58,37 +68,29 @@ class Perm:
             raise ValueError(f"bad permutation literal: {text!r}") from None
         return cls(vals)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
     def __str__(self) -> str:
-        return " ".join(str(v) for v in self.values)
+        return " ".join(map(str, self))
 
     def __repr__(self) -> str:
-        return f"Perm({self.values!r})"
+        return f"Perm({tuple.__repr__(self)})"
 
 
 def perm_key(p: Perm) -> tuple:
     """Canonical sort key: by size, then lexicographically by values."""
-    return (len(p.values), p.values)
+    return (len(p), p)
 
 
 def pattern_of(values: Sequence[int]) -> Perm:
     """The permutation order-isomorphic to a sequence of distinct integers."""
-    vals = tuple(values)
-    rank = {v: i + 1 for i, v in enumerate(sorted(vals))}
-    return Perm(tuple(rank[v] for v in vals))
+    rank = {v: i + 1 for i, v in enumerate(sorted(values))}
+    return Perm([rank[v] for v in values])
 
 
 @lru_cache(maxsize=1024)
-def _neighbours(pattern: Perm) -> tuple[tuple[int, int], ...]:
+def _neighbours(p: Perm) -> tuple[tuple[int, int], ...]:
     """Per pattern position j, the earlier positions holding the nearest
     smaller and the nearest larger value; -2 and -1 (the two sentinel slots
     of ``contains``) stand in where there is none."""
-    p = pattern.values
     return tuple(
         (max((m for m in range(j) if p[m] < v), key=p.__getitem__, default=-2),
          min((m for m in range(j) if p[m] > v), key=p.__getitem__, default=-1))
@@ -109,8 +111,7 @@ def contains(perm: Perm, pattern: Perm) -> bool:
     >>> contains(Perm.from_text("3 1 6 4 5 2"), Perm.from_text("2 4 1 3"))
     False
     """
-    s = perm.values
-    k, n = len(pattern), len(s)
+    k, n = len(pattern), len(perm)
     if k > n:
         return False
     bounds = _neighbours(pattern)
@@ -121,12 +122,12 @@ def contains(perm: Perm, pattern: Perm) -> bool:
         lo, hi = bounds[j]
         a, b = got[lo], got[hi]
         i, last = start[j], n - k + j
-        while i <= last and not a < s[i] < b:
+        while i <= last and not a < perm[i] < b:
             i += 1
         if i > last:
             j -= 1
             continue
-        got[j] = s[i]
+        got[j] = perm[i]
         if j == k - 1:
             return True
         start[j] = i + 1
@@ -161,12 +162,11 @@ def is_simple(perm: Perm) -> bool:
     n = len(perm)
     if n < 4:
         return False
-    v = perm.values
     for i in range(n - 1):
-        lo = hi = v[i]
+        lo = hi = perm[i]
         for j in range(i + 1, n):
-            lo = min(lo, v[j])
-            hi = max(hi, v[j])
+            lo = min(lo, perm[j])
+            hi = max(hi, perm[j])
             length = j - i + 1
             if length == n:
                 break
@@ -186,13 +186,13 @@ def substitute(skeleton: Perm, args: Sequence[Perm]) -> Perm:
     n = len(skeleton)
     offsets = [0] * n
     acc = 0
-    for pos in sorted(range(n), key=lambda i: skeleton.values[i]):
+    for pos in sorted(range(n), key=skeleton.__getitem__):
         offsets[pos] = acc
         acc += len(args[pos])
     out: list[int] = []
     for pos in range(n):
-        out.extend(offsets[pos] + v for v in args[pos].values)
-    return Perm(tuple(out))
+        out.extend(offsets[pos] + v for v in args[pos])
+    return Perm(out)
 
 
 def gen_substitute(skeleton: Perm, args: Sequence[Perm | None]) -> Perm | None:
@@ -208,7 +208,7 @@ def gen_substitute(skeleton: Perm, args: Sequence[Perm | None]) -> Perm | None:
         return None
     if len(live) == 1:
         return args[live[0]]
-    quotient = pattern_of([skeleton.values[i] for i in live])
+    quotient = pattern_of([skeleton[i] for i in live])
     return substitute(quotient, [args[i] for i in live])
 
 
@@ -222,29 +222,28 @@ def top_split(perm: Perm):
     children are the patterns of its maximal proper blocks.
     """
     n = len(perm)
-    v = perm.values
     if n == 1:
         return None, ()
     run = 0
     for k in range(1, n):
-        run = max(run, v[k - 1])
+        run = max(run, perm[k - 1])
         if run == k:
-            return ROOT_12, (pattern_of(v[:k]), pattern_of(v[k:]))
+            return ROOT_12, (pattern_of(perm[:k]), pattern_of(perm[k:]))
     run = n + 1
     for k in range(1, n):
-        run = min(run, v[k - 1])
+        run = min(run, perm[k - 1])
         if run == n - k + 1:
-            return ROOT_21, (pattern_of(v[:k]), pattern_of(v[k:]))
+            return ROOT_21, (pattern_of(perm[:k]), pattern_of(perm[k:]))
     # Neither linear case applies, so the maximal proper blocks are pairwise
     # disjoint and tile the positions; scan them greedily left to right.
     blocks: list[tuple[int, int]] = []
     pos = 0
     while pos < n:
         best = 1
-        lo = hi = v[pos]
+        lo = hi = perm[pos]
         for j in range(pos + 1, n):
-            lo = min(lo, v[j])
-            hi = max(hi, v[j])
+            lo = min(lo, perm[j])
+            hi = max(hi, perm[j])
             length = j - pos + 1
             if length == n:
                 break
@@ -252,10 +251,11 @@ def top_split(perm: Perm):
                 best = length
         blocks.append((pos, best))
         pos += best
-    skeleton = pattern_of([v[start] for start, _ in blocks])
+    skeleton = pattern_of([perm[start] for start, _ in blocks])
     if not is_simple(skeleton):
         raise AssertionError(f"block quotient of {perm} is not simple")
-    children = tuple(pattern_of(v[start:start + length]) for start, length in blocks)
+    children = tuple(pattern_of(perm[start:start + length])
+                     for start, length in blocks)
     return skeleton, children
 
 
@@ -324,8 +324,7 @@ def tree_text(tree: DecompTree) -> str:
     def text(t):
         if t.root is None:
             return "1"
-        label = t.root if isinstance(t.root, str) else "".join(
-            str(v) for v in t.root.values)
+        label = t.root if isinstance(t.root, str) else "".join(map(str, t.root))
         parts = []
         for c in t.children:
             parts.append((yield text(c)))
@@ -356,32 +355,10 @@ def tree_labels(perm: Perm) -> frozenset:
     return frozenset(recurse(labels(perm)))
 
 
-@lru_cache(maxsize=None)
-def is_sum_decomposable(perm: Perm) -> bool:
-    """True when the permutation is 12[x, y] for some x, y."""
-    run = 0
-    for k in range(1, len(perm)):
-        run = max(run, perm.values[k - 1])
-        if run == k:
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def is_skew_decomposable(perm: Perm) -> bool:
-    """True when the permutation is 21[x, y] for some x, y."""
-    n = len(perm)
-    run = n + 1
-    for k in range(1, n):
-        run = min(run, perm.values[k - 1])
-        if run == n - k + 1:
-            return True
-    return False
-
-
 def indecomposability(perm: Perm) -> tuple[bool, bool]:
-    """Flags (12-indecomposable, 21-indecomposable)."""
-    return (not is_sum_decomposable(perm), not is_skew_decomposable(perm))
+    """Flags (12-indecomposable, 21-indecomposable), from the top split."""
+    root = top_split(perm)[0]
+    return (root != ROOT_12, root != ROOT_21)
 
 
 @dataclass(frozen=True)
@@ -400,7 +377,7 @@ class Embedding:
         start, length = self.blocks[i]
         if length == 0:
             return None
-        return pattern_of(embedded.values[start - 1:start - 1 + length])
+        return pattern_of(embedded[start - 1:start - 1 + length])
 
     def nonempty_slots(self) -> tuple[int, ...]:
         return tuple(i for i, (_, length) in enumerate(self.blocks) if length)
@@ -423,7 +400,7 @@ def embeddings(embedded: Perm, host: Perm) -> tuple[Embedding, ...]:
     for cuts in itertools.combinations_with_replacement(range(g + 1), n - 1):
         bounds = (0, *cuts, g)
         args = tuple(
-            None if lo == hi else pattern_of(embedded.values[lo:hi])
+            None if lo == hi else pattern_of(embedded[lo:hi])
             for lo, hi in zip(bounds, bounds[1:]))
         if gen_substitute(host, args) == embedded:
             out.append(Embedding(tuple(

@@ -28,9 +28,8 @@ from .perms import (
     ROOT_12,
     ROOT_21,
     contains,
+    indecomposability,
     is_simple,
-    is_skew_decomposable,
-    is_sum_decomposable,
     perm_key,
     top_split,
     tree_labels,
@@ -369,9 +368,10 @@ def in_restriction(p: Perm, r: Restriction, simples: frozenset[Perm]) -> bool:
         return False
     if not in_closure(p, simples):
         return False
-    if r.flavor == FLAVOR_SUM_INDEC and is_sum_decomposable(p):
+    sum_indec, skew_indec = indecomposability(p)
+    if r.flavor == FLAVOR_SUM_INDEC and not sum_indec:
         return False
-    if r.flavor == FLAVOR_SKEW_INDEC and is_skew_decomposable(p):
+    if r.flavor == FLAVOR_SKEW_INDEC and not skew_indec:
         return False
     return (all(not contains(p, e) for e in r.avoid)
             and all(contains(p, a) for a in r.contain))

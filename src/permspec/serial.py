@@ -179,21 +179,17 @@ def parse_system(text: str) -> System:
 # JSON mirrors.  Schema-versioned, machine readable; the text form above
 # stays the format of record.
 
-def _perm_json(p: Perm) -> list[int]:
-    return list(p.values)
-
-
 def system_json(system: System) -> dict:
     def term_json(t: Term) -> dict:
-        root = t.root if isinstance(t.root, str) else _perm_json(t.root)
+        root = t.root if isinstance(t.root, str) else list(t.root)
         return {"root": root, "args": [a.name() for a in t.args]}
 
     return {
         "schema": JSON_SCHEMA,
         "kind": "system",
         "mode": system.mode,
-        "basis": [_perm_json(b) for b in system.basis],
-        "simples": [_perm_json(s) for s in system.simples],
+        "basis": [list(b) for b in system.basis],
+        "simples": [list(s) for s in system.simples],
         "root": system.root.name(),
         "equations": [
             {

@@ -50,9 +50,9 @@ def _one_point_extensions(p: Perm) -> set[Perm]:
     n = len(p)
     out = set()
     for val in range(1, n + 2):
-        lifted = [v + 1 if v >= val else v for v in p.values]
+        lifted = [v + 1 if v >= val else v for v in p]
         for pos in range(n + 1):
-            out.add(Perm(tuple(lifted[:pos] + [val] + lifted[pos:])))
+            out.add(Perm(lifted[:pos] + [val] + lifted[pos:]))
     return out
 
 

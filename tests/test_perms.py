@@ -1,6 +1,9 @@
 """Core permutation operations against independent brute-force oracles."""
 
+import copy
 import itertools
+import pickle
+import re
 
 import pytest
 
@@ -301,3 +304,19 @@ def test_perm_validation_and_text():
         Perm(())
     p = Perm.from_text("10 1 2 3 4 5 6 7 8 9")
     assert len(p) == 10 and str(p).startswith("10 1")
+
+
+def test_perm_is_the_validated_tuple():
+    p = Perm((3, 1, 2))
+    assert p == (3, 1, 2) and hash(p) == hash((3, 1, 2))
+    assert isinstance(p, tuple) and p.values is p
+    assert type(p[1:]) is tuple and p[1:] == (1, 2)
+    assert Perm([3, 1, 2]) == p and type(Perm([3, 1, 2])) is Perm
+    assert Perm(v for v in (3, 1, 2)) == p
+    for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert type(copied) is Perm and copied == p
+    for bad in ((1, 1), (), (0, 1)):
+        message = f"not a permutation of 1..n: {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Perm(bad)
+    assert Perm((1, 2)) != ROOT_12 and Perm((2, 1)) != ROOT_21
