@@ -5,8 +5,8 @@ membership of concrete permutations, so a passing report means the
 equations describe exactly the sets they claim to.  Used by the command
 line ``check`` subcommand and by the test suite.  Memberships are those of
 ``in_restriction`` and ``rhs_multiplicity``, decided on profiles: each
-permutation is split and tested against each pattern (``contains``) once
-per run, and meets only the terms of its own root.
+permutation is split once per run, takes its pattern bits from its
+one-point deletions (``pattern_masks``) and meets only its root's terms.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from .perms import (DEFAULT_ORACLE_CAP, InvalidInputError, Perm, ROOT_12,
-                    ROOT_21, contains, enumerate_avoiders, top_split)
+                    ROOT_21, enumerate_avoiders, pattern_masks, top_split)
 from .restrictions import (FLAVOR_SKEW_INDEC, FLAVOR_SUM_INDEC, MODE_DISJOINT,
                            Restriction, System)
 from .engine import count_coefficients
@@ -43,19 +43,19 @@ class Profiles:
 
     A profile is an int: ``IN_CLOSURE`` when every tree label is 12, 21 or
     a listed simple, ``SUM_DEC``/``SKEW_DEC`` by the top split, and one bit
-    per pattern of the systems' restrictions.  A restriction compiles to
-    (forbidden, needed) masks, and a term to the same masks over the packed
-    profiles of p's parts.
+    per restriction pattern p contains, by ``pattern_masks``.  A
+    restriction compiles to (forbidden, needed) masks, and a term to the
+    same masks over the packed profiles of p's parts.
     """
 
     def __init__(self, systems: Iterable[System]):
         patterns = {q for s in systems for eq in s.equations.values()
                     for r in (eq.lhs, *(a for t in eq.terms for a in t.args))
                     for q in r.avoid + r.contain}
-        self._bit = {q: 8 << i for i, q in
-                     enumerate(sorted(patterns, key=len))}
+        self._bit = {q: 8 << i for i, q in enumerate(sorted(patterns, key=len))}
         self._width = 3 + len(self._bit)
         self._splits: dict[frozenset, dict] = {}
+        self._walk: tuple[int, list[int]] = (0, [])  # (max size, masks)
 
     def test(self, r: Restriction) -> tuple[int, int]:
         """(forbidden, needed) masks of r; a statically empty r admits none."""
@@ -68,21 +68,16 @@ class Profiles:
     def _pack(self, profiles: Iterable[int]) -> int:
         return sum(q << i * self._width for i, q in enumerate(profiles))
 
-    def split(self, p: Perm, simples: frozenset[Perm]):
-        """(profile of p, its (root, arity), its parts' profiles packed)."""
+    def split(self, p: Perm, mask: int, simples: frozenset[Perm]):
+        """(profile, (root, arity), packed parts' profiles) of p; parts first."""
         table = self._splits.setdefault(simples, {})
         if p not in table:
             root, parts = top_split(p)
-            subs = [self.split(q, simples)[0] for q in parts]
-            prof = _DECOMPOSED.get(root, 0)
+            subs = [table[q][0] for q in parts]
+            prof = mask | _DECOMPOSED.get(root, 0)
             if (root in (None, ROOT_12, ROOT_21) or root in simples) and \
                     all(s & IN_CLOSURE for s in subs):
                 prof |= IN_CLOSURE
-            for q, bit in self._bit.items():
-                if len(q) > len(p):
-                    break
-                if contains(p, q):
-                    prof |= bit
             table[p] = (prof, (root, len(parts)), self._pack(subs))
         return table[p]
 
@@ -102,12 +97,17 @@ class Profiles:
         """(p, per system p's profile, per system and equation the number
         of right-side summands holding p) for every p up to max_size; the
         atom counts as one."""
+        check_max_size(max_size)
         sides = [self._right_sides(system) for system in systems]
+        if self._walk[0] < max_size:
+            self._walk = max_size, [
+                m for _, m in pattern_masks(self._bit, max_size)]
+        masks = iter(self._walk[1])
         for size in range(1, max_size + 1):
-            for p in perms_of_size(size):
+            for p, mask in zip(perms_of_size(size), masks):
                 profs, counts = [], []
                 for simples, index, atoms in sides:
-                    prof, shape, parts = self.split(p, simples)
+                    prof, shape, parts = self.split(p, mask, simples)
                     mults = atoms[:] if shape[0] is None else [0] * len(atoms)
                     for i, forbidden, needed in index.get(shape, ()):
                         if not parts & forbidden and parts & needed == needed:
@@ -131,8 +131,7 @@ def equation_violations(system: System, max_size: int,
     for p, (prof,), (mults,) in profiles.tallies([system], max_size):
         for (lhs, forbidden, needed), mult in zip(lhs_tests, mults):
             member = not prof & forbidden and prof & needed == needed
-            ok = (mult == (1 if member else 0)) if exact else \
-                (member == (mult > 0))
+            ok = mult == int(member) if exact else member == (mult > 0)
             if not ok:
                 out.append(f"{lhs.name()} vs {p}: member={member}, "
                            f"summand multiplicity={mult}")
@@ -158,6 +157,7 @@ def conservation_violations(before: System, after: System, max_size: int,
 def count_violations(system: System, basis: Sequence[Perm],
                      max_size: int) -> list[str]:
     """Root coefficients vs brute-force enumeration of the avoidance class."""
+    check_max_size(max_size)
     table = count_coefficients(system, max_size)
     out = []
     for n in range(1, max_size + 1):
@@ -173,19 +173,14 @@ def run_check(ambiguous: System, disjoint: System,
     """The full cross-validation suite; one (name, passed, detail) per check."""
     check_max_size(max_size)
     profiles = Profiles([ambiguous, disjoint])
-    results = []
-
-    def record(name: str, violations: list[str]):
-        detail = "" if not violations else \
-            f"{len(violations)} violation(s); first: {violations[0]}"
-        results.append((name, not violations, detail))
-
-    record("ambiguous equation membership",
-           equation_violations(ambiguous, max_size, profiles))
-    record("specification partition",
-           equation_violations(disjoint, max_size, profiles))
-    record("conservation through disambiguation",
-           conservation_violations(ambiguous, disjoint, max_size, profiles))
-    record("counting equality",
-           count_violations(disjoint, disjoint.basis, max_size))
-    return results
+    results = [
+        ("ambiguous equation membership",
+         equation_violations(ambiguous, max_size, profiles)),
+        ("specification partition",
+         equation_violations(disjoint, max_size, profiles)),
+        ("conservation through disambiguation",
+         conservation_violations(ambiguous, disjoint, max_size, profiles)),
+        ("counting equality",
+         count_violations(disjoint, disjoint.basis, max_size))]
+    return [(name, not v, "" if not v else
+             f"{len(v)} violation(s); first: {v[0]}") for name, v in results]

@@ -304,10 +304,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (EmptySizeClassError, DivergentSeriesError,
+    except (InvalidInputError, EmptySizeClassError, DivergentSeriesError,
             RejectionBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

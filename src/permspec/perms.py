@@ -2,10 +2,10 @@
 
 A permutation of size n is a ``Perm``: a tuple, checked on construction to
 hold each of 1..n exactly once.  This module provides the primitives
-everything else is built on: pattern containment, interval and simplicity
-detection, (generalized) substitution, the canonical substitution
-decomposition tree, embeddings of a permutation into a substitution root,
-and a brute-force enumeration oracle for pattern-avoiding classes.
+everything else is built on: pattern containment (pairwise, and for all
+permutations up to a size by one-point deletion), intervals, simplicity,
+(generalized) substitution, the canonical decomposition tree, embeddings
+into a substitution root, and a brute-force oracle for Av(basis).
 
 The text form of a permutation is space separated, e.g. ``"3 1 4 2"``, so
 that sizes above 9 stay unambiguous.
@@ -143,9 +143,8 @@ def avoids(perm: Perm, patterns: Iterable[Perm]) -> bool:
 def minimal_patterns(perms: Iterable[Perm]) -> tuple[Perm, ...]:
     """The minimal elements of a set of permutations under containment."""
     items = sorted(set(perms), key=perm_key)
-    out = [p for i, p in enumerate(items)
-           if not any(contains(p, q) for q in items[:i])]
-    return tuple(out)
+    return tuple(p for i, p in enumerate(items)
+                 if not any(contains(p, q) for q in items[:i]))
 
 
 @lru_cache(maxsize=None)
@@ -408,17 +407,36 @@ def embeddings(embedded: Perm, host: Perm) -> tuple[Embedding, ...]:
     return tuple(out)
 
 
+def pattern_masks(bits: dict[Perm, int], max_size: int):
+    """(bytes(p), mask) for each p of size 1..max_size in ``perm_key``
+    order: p's own bit OR its one-point deletions' masks, which is the OR
+    of ``bits[q]`` over all q <= p.  Only the last size's masks are kept.
+
+    >>> [m for _, m in pattern_masks({Perm((1, 2)): 1}, 3)]
+    [0, 1, 0, 1, 1, 1, 1, 1, 0]
+    """
+    own = {bytes(q): bits[q] for q in bits}
+    level = {b"": 0}
+    for n in range(1, max_size + 1):
+        cuts = [(bytes((x,)), bytes(v - (v > x) for v in range(256)))
+                for x in range(1, n + 1)]  # drop value x, lower those above
+        prev, level = level, {}
+        for key in map(bytes, itertools.permutations(range(1, n + 1))):
+            mask = own.get(key, 0)
+            for one, down in cuts:
+                mask |= prev[key.replace(one, b"").translate(down)]
+            if n < max_size:
+                level[key] = mask
+            yield key, mask
+
+
 def enumerate_avoiders(basis: Iterable[Perm], n: int,
                        cap: int = DEFAULT_ORACLE_CAP) -> list[Perm]:
     """All permutations of size n avoiding every basis element, in
-    lexicographic order.  Scans all n! permutations, so n is capped.
+    lexicographic order: p avoids it when p is no basis element and its
+    one-point deletions avoid it (``pattern_masks``).  n is capped.
     """
     if n > cap:
         raise ValueError(f"oracle size {n} exceeds cap {cap}")
-    patterns = tuple(sorted(set(basis), key=perm_key))
-    out = []
-    for vals in itertools.permutations(range(1, n + 1)):
-        p = Perm(vals)
-        if avoids(p, patterns):
-            out.append(p)
-    return out
+    masks = pattern_masks(dict.fromkeys(basis, 1), n)
+    return [Perm(key) for key, mask in masks if len(key) == n and not mask]

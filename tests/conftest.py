@@ -11,8 +11,10 @@ from permspec import (
     ambiguous_system,
     class_input,
     compute_simples,
+    contains,
     disambiguate_system,
 )
+from permspec.perms import avoids, perm_key
 
 # Test bases used throughout: one substitution-closed, one with an empty
 # simples set, one with a single simple permutation and a non-simple basis
@@ -47,6 +49,25 @@ def pc(text: str) -> Perm:
 
 def perms_of_size(n: int) -> list[Perm]:
     return [Perm(v) for v in itertools.permutations(range(1, n + 1))]
+
+
+# --- the contains routes that one-point deletion replaced --------------------
+
+def contains_mask(p: Perm, bits: dict) -> int:
+    """OR of bits[q] over the patterns q that p contains, one ``contains``
+    call per pattern: how ``Profiles.split`` once set the pattern bits."""
+    mask = 0
+    for q, bit in bits.items():
+        if contains(p, q):
+            mask |= bit
+    return mask
+
+
+def scan_avoiders(basis, n: int) -> list[Perm]:
+    """Size-n members of Av(basis) by a ``contains`` scan of all n!
+    permutations: how ``enumerate_avoiders`` once found them."""
+    patterns = tuple(sorted(set(basis), key=perm_key))
+    return [p for p in perms_of_size(n) if avoids(p, patterns)]
 
 
 def _pipeline(basis, cap=8):

@@ -1,12 +1,16 @@
 """The oracle checks on per-permutation profiles, against the plain
-membership route of ``permspec.restrictions``."""
+membership route of ``permspec.restrictions`` and the ``contains`` route
+of the pattern bits."""
 
 import dataclasses
 
 import pytest
 
-from permspec import checks, count_coefficients
+from permspec import InvalidInputError, checks, count_coefficients
 from permspec.checks import (
+    IN_CLOSURE,
+    SKEW_DEC,
+    SUM_DEC,
     Profiles,
     conservation_violations,
     count_violations,
@@ -14,7 +18,8 @@ from permspec.checks import (
     perms_of_size,
     run_check,
 )
-from permspec.perms import enumerate_avoiders
+from permspec.perms import (contains, embeddings, enumerate_avoiders,
+                            is_simple, top_split, tree_labels)
 from permspec.restrictions import (
     MODE_DISJOINT,
     Equation,
@@ -23,11 +28,13 @@ from permspec.restrictions import (
     rhs_multiplicity,
 )
 
+from conftest import contains_mask, scan_avoiders
+
 
 @pytest.fixture(scope="module")
 def oracle_systems(systems_one_simple, corpus_systems):
     return {"W": systems_one_simple, "L1": corpus_systems["L1"],
-            "B1": corpus_systems["B1"]}
+            "B1": corpus_systems["B1"], "B3": corpus_systems["B3"]}
 
 
 def _restrictions(system):
@@ -48,6 +55,51 @@ def test_profile_route_matches_plain_route(oracle_systems, name):
                 assert member == in_restriction(p, r, simples), (p, r)
             assert mults == [rhs_multiplicity(p, eq, simples)
                              for eq in system.equations.values()], p
+
+
+@pytest.mark.parametrize("name", ["W", "L1", "B1", "B3"])
+def test_pattern_bits_match_contains_route(oracle_systems, name):
+    amb, dis = oracle_systems[name]
+    profiles = Profiles([amb, dis])
+    flags = IN_CLOSURE | SUM_DEC | SKEW_DEC
+    seen = 0
+    for p, profs, _ in profiles.tallies([amb, dis], 7):
+        want = contains_mask(p, profiles._bit)
+        assert [prof & ~flags for prof in profs] == [want, want], p
+        seen += 1
+    assert seen == 5913  # every permutation of size 1..7
+
+
+def test_run_check_asks_no_containment(oracle_systems):
+    amb, dis = oracle_systems["W"]
+    for cache in (contains, embeddings, is_simple, top_split, tree_labels):
+        cache.cache_clear()
+    assert all(ok for _, ok, _ in run_check(amb, dis, 7))
+    assert contains.cache_info().currsize == 0
+    assert "contains" not in vars(checks)
+
+
+ORACLE_ENTRIES = {
+    "tallies": lambda amb, dis, n: next(Profiles([dis]).tallies([dis], n)),
+    "equation_violations": lambda amb, dis, n: equation_violations(dis, n),
+    "conservation_violations":
+        lambda amb, dis, n: conservation_violations(amb, dis, n),
+    "count_violations": lambda amb, dis, n: count_violations(dis, dis.basis, n),
+    "run_check": lambda amb, dis, n: run_check(amb, dis, n),
+}
+
+
+@pytest.mark.parametrize("size", [0, 11])
+@pytest.mark.parametrize("entry", sorted(ORACLE_ENTRIES))
+def test_oracle_entries_refuse_sizes_outside_the_cap(
+        systems_132, monkeypatch, entry, size):
+    def scan(*args, **kwargs):
+        raise AssertionError("scanned before refusing the size")
+    for name in ("perms_of_size", "pattern_masks", "enumerate_avoiders",
+                 "count_coefficients"):
+        monkeypatch.setattr(checks, name, scan)
+    with pytest.raises(InvalidInputError):
+        ORACLE_ENTRIES[entry](*systems_132, size)
 
 
 # --- plain-route reference for the full reports ------------------------------
@@ -89,7 +141,7 @@ def _plain_report(amb, dis, max_size):
     table = count_coefficients(dis, max_size)
     counts = [f"size {n}: engine {table.root_count(n)}, enumeration {want}"
               for n in range(1, max_size + 1)
-              for want in [len(enumerate_avoiders(dis.basis, n))]
+              for want in [len(scan_avoiders(dis.basis, n))]
               if table.root_count(n) != want]
     results = [
         ("ambiguous equation membership", _plain_equation_violations(amb, max_size)),

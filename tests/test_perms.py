@@ -6,6 +6,8 @@ import pickle
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permspec import (
     DecompTree,
@@ -23,9 +25,11 @@ from permspec import (
     substitute,
     tree_text,
 )
-from permspec.perms import ROOT_12, ROOT_21, top_split, tree_labels
+from permspec.perms import (ROOT_12, ROOT_21, pattern_masks, top_split,
+                            tree_labels)
 
-from conftest import pc, perms_of_size
+from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
+                      contains_mask, pc, perms_of_size, scan_avoiders)
 
 
 # --- pattern containment ---------------------------------------------------
@@ -293,6 +297,37 @@ def test_enumerate_avoiders_sorted_and_capped():
     assert out == sorted(out, key=lambda p: p.values)
     with pytest.raises(ValueError):
         enumerate_avoiders([pc("132")], 11)
+
+
+CORPUS_BASES = [BASIS_132, BASIS_SEPARABLE, BASIS_ONE_SIMPLE,
+                tuple(map(pc, ("1423", "2431", "4123", "24153", "51432")))] + \
+    [tuple(map(pc, basis)) for basis in CORPUS.values()]
+
+
+@pytest.mark.parametrize("basis", CORPUS_BASES, ids=str)
+def test_enumerate_avoiders_matches_the_contains_scan(basis):
+    for n in range(1, 8):
+        assert enumerate_avoiders(basis, n) == scan_avoiders(basis, n), n
+
+
+PATTERN_LISTS = st.lists(
+    st.integers(1, 7).flatmap(lambda k: st.permutations(range(1, k + 1)))
+    .map(Perm), min_size=1, max_size=6)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(PATTERN_LISTS, st.integers(1, 6))
+@example([pc("1")], 4)
+@example([pc("21"), pc("21"), pc("231"), pc("4231"), pc("1234567")], 5)
+@example([pc("123"), pc("2413"), pc("123"), pc("13524")], 6)
+def test_deletion_masks_match_the_contains_route(patterns, n):
+    # Bits are shared (i % 3), so masks are ORs and not sums; duplicates,
+    # non-antichains, the pattern 1 and patterns longer than n all occur.
+    bits = {q: 1 << i % 3 for i, q in enumerate(patterns)}
+    assert list(pattern_masks(bits, n)) == [
+        (bytes(p), contains_mask(p, bits))
+        for k in range(1, n + 1) for p in perms_of_size(k)]
+    assert enumerate_avoiders(patterns, n) == scan_avoiders(patterns, n)
 
 
 # --- values ----------------------------------------------------------------
