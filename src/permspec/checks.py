@@ -7,6 +7,7 @@ line ``check`` subcommand and by the test suite.  Memberships are those of
 ``in_restriction`` and ``rhs_multiplicity``, decided on profiles: each
 permutation is split once per run, takes its pattern bits from its
 one-point deletions (``pattern_masks``) and meets only its root's terms.
+``run_check`` makes one walk for all three of its per-permutation checks.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class Profiles:
         self._bit = {q: 8 << i for i, q in enumerate(sorted(patterns, key=len))}
         self._width = 3 + len(self._bit)
         self._splits: dict[frozenset, dict] = {}
-        self._walk: tuple[int, list[int]] = (0, [])  # (max size, masks)
 
     def test(self, r: Restriction) -> tuple[int, int]:
         """(forbidden, needed) masks of r; a statically empty r admits none."""
@@ -99,12 +99,9 @@ class Profiles:
         atom counts as one."""
         check_max_size(max_size)
         sides = [self._right_sides(system) for system in systems]
-        if self._walk[0] < max_size:
-            self._walk = max_size, [
-                m for _, m in pattern_masks(self._bit, max_size)]
-        masks = iter(self._walk[1])
+        masks = pattern_masks(self._bit, max_size)
         for size in range(1, max_size + 1):
-            for p, mask in zip(perms_of_size(size), masks):
+            for p, (_, mask) in zip(perms_of_size(size), masks):
                 profs, counts = [], []
                 for simples, index, atoms in sides:
                     prof, shape, parts = self.split(p, mask, simples)
@@ -117,41 +114,53 @@ class Profiles:
                 yield p, profs, counts
 
 
-def equation_violations(system: System, max_size: int,
-                        profiles: Profiles | None = None) -> list[str]:
-    """Left side vs right side, per equation, on every permutation.
-
-    In an ambiguous system a member must land in at least one summand; in
-    a disjoint one, in exactly one.  Non-members must land in none.
-    """
-    profiles = profiles or Profiles([system])
+def _membership_check(system: System, profiles: Profiles, k: int):
+    """The k-th system's equation violations in one ``tallies`` row: in an
+    ambiguous system a member must land in at least one summand; in a
+    disjoint one, in exactly one.  Non-members must land in none."""
     exact = system.mode == MODE_DISJOINT
     lhs_tests = [(lhs, *profiles.test(lhs)) for lhs in system.equations]
-    out = []
-    for p, (prof,), (mults,) in profiles.tallies([system], max_size):
-        for (lhs, forbidden, needed), mult in zip(lhs_tests, mults):
-            member = not prof & forbidden and prof & needed == needed
-            ok = mult == int(member) if exact else member == (mult > 0)
-            if not ok:
-                out.append(f"{lhs.name()} vs {p}: member={member}, "
-                           f"summand multiplicity={mult}")
-    return out
+
+    def check(p: Perm, profs: list[int], counts: list[list[int]]):
+        for (lhs, forbidden, needed), mult in zip(lhs_tests, counts[k]):
+            member = not profs[k] & forbidden and profs[k] & needed == needed
+            if (mult if exact else min(mult, 1)) != member:
+                yield (f"{lhs.name()} vs {p}: member={member}, "
+                       f"summand multiplicity={mult}")
+    return check
+
+
+def _conservation_check(before: System, after: System):
+    """Shared equations whose right-side membership differs, per row."""
+    where = {lhs: j for j, lhs in enumerate(after.equations)}
+    shared = [(lhs, i, where[lhs]) for i, lhs in enumerate(before.equations)
+              if lhs in where]
+
+    def check(p: Perm, _, counts: list[list[int]]):
+        was, now = counts
+        for lhs, i, j in shared:
+            if (was[i] > 0) != (now[j] > 0):
+                yield (f"{lhs.name()} vs {p}: before={was[i] > 0}, "
+                       f"after={now[j] > 0}")
+    return check
+
+
+def equation_violations(system: System, max_size: int,
+                        profiles: Profiles | None = None) -> list[str]:
+    """Left side vs right side, per equation, on every permutation."""
+    profiles = profiles or Profiles([system])
+    check = _membership_check(system, profiles, 0)
+    return [v for row in profiles.tallies([system], max_size)
+            for v in check(*row)]
 
 
 def conservation_violations(before: System, after: System, max_size: int,
                             profiles: Profiles | None = None) -> list[str]:
     """Right-side membership unchanged for every equation both systems share."""
     profiles = profiles or Profiles([before, after])
-    where = {lhs: j for j, lhs in enumerate(after.equations)}
-    shared = [(lhs, i, where[lhs]) for i, lhs in enumerate(before.equations)
-              if lhs in where]
-    out = []
-    for p, _, (was, now) in profiles.tallies([before, after], max_size):
-        for lhs, i, j in shared:
-            if (was[i] > 0) != (now[j] > 0):
-                out.append(f"{lhs.name()} vs {p}: before={was[i] > 0}, "
-                           f"after={now[j] > 0}")
-    return out
+    check = _conservation_check(before, after)
+    return [v for row in profiles.tallies([before, after], max_size)
+            for v in check(*row)]
 
 
 def count_violations(system: System, basis: Sequence[Perm],
@@ -173,14 +182,16 @@ def run_check(ambiguous: System, disjoint: System,
     """The full cross-validation suite; one (name, passed, detail) per check."""
     check_max_size(max_size)
     profiles = Profiles([ambiguous, disjoint])
-    results = [
-        ("ambiguous equation membership",
-         equation_violations(ambiguous, max_size, profiles)),
-        ("specification partition",
-         equation_violations(disjoint, max_size, profiles)),
-        ("conservation through disambiguation",
-         conservation_violations(ambiguous, disjoint, max_size, profiles)),
-        ("counting equality",
-         count_violations(disjoint, disjoint.basis, max_size))]
+    checks = (_membership_check(ambiguous, profiles, 0),
+              _membership_check(disjoint, profiles, 1),
+              _conservation_check(ambiguous, disjoint))
+    found: list[list[str]] = [[], [], []]
+    for row in profiles.tallies([ambiguous, disjoint], max_size):
+        for out, check in zip(found, checks):
+            out.extend(check(*row))
+    found.append(count_violations(disjoint, disjoint.basis, max_size))
+    names = ("ambiguous equation membership", "specification partition",
+             "conservation through disambiguation", "counting equality")
     return [(name, not v, "" if not v else
-             f"{len(v)} violation(s); first: {v[0]}") for name, v in results]
+             f"{len(v)} violation(s); first: {v[0]}")
+            for name, v in zip(names, found)]

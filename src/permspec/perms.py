@@ -218,7 +218,15 @@ def top_split(perm: Perm):
     Returns ``(root, children)`` where root is None for the size-1
     permutation, "12" or "21" for a linear split (children are the two
     parts, the first part suitably indecomposable), or a simple Perm whose
-    children are the patterns of its maximal proper blocks.
+    children are the patterns of its maximal proper blocks.  A part's values
+    form an interval, so it is its slice less its minimum minus one.
+
+    >>> top_split(Perm((2, 1, 3, 5, 4)))
+    ('12', (Perm((2, 1)), Perm((1, 3, 2))))
+    >>> top_split(Perm((4, 5, 3, 1, 2)))
+    ('21', (Perm((1, 2)), Perm((3, 1, 2))))
+    >>> top_split(Perm((3, 4, 6, 2, 1, 5)))
+    (Perm((2, 4, 1, 3)), (Perm((1, 2)), Perm((1,)), Perm((2, 1)), Perm((1,))))
     """
     n = len(perm)
     if n == 1:
@@ -227,18 +235,18 @@ def top_split(perm: Perm):
     for k in range(1, n):
         run = max(run, perm[k - 1])
         if run == k:
-            return ROOT_12, (pattern_of(perm[:k]), pattern_of(perm[k:]))
+            return ROOT_12, (Perm(perm[:k]), Perm([v - k for v in perm[k:]]))
     run = n + 1
     for k in range(1, n):
         run = min(run, perm[k - 1])
         if run == n - k + 1:
-            return ROOT_21, (pattern_of(perm[:k]), pattern_of(perm[k:]))
+            return ROOT_21, (Perm([v + k - n for v in perm[:k]]), Perm(perm[k:]))
     # Neither linear case applies, so the maximal proper blocks are pairwise
     # disjoint and tile the positions; scan them greedily left to right.
-    blocks: list[tuple[int, int]] = []
+    blocks: list[tuple[int, int, int]] = []  # (start, length, minimum)
     pos = 0
     while pos < n:
-        best = 1
+        best, low = 1, perm[pos]
         lo = hi = perm[pos]
         for j in range(pos + 1, n):
             lo = min(lo, perm[j])
@@ -247,14 +255,14 @@ def top_split(perm: Perm):
             if length == n:
                 break
             if hi - lo + 1 == length:
-                best = length
-        blocks.append((pos, best))
+                best, low = length, lo
+        blocks.append((pos, best, low))
         pos += best
-    skeleton = pattern_of([perm[start] for start, _ in blocks])
+    skeleton = pattern_of([low for _, _, low in blocks])
     if not is_simple(skeleton):
         raise AssertionError(f"block quotient of {perm} is not simple")
-    children = tuple(pattern_of(perm[start:start + length])
-                     for start, length in blocks)
+    children = tuple(Perm([v - low + 1 for v in perm[start:start + length]])
+                     for start, length, low in blocks)
     return skeleton, children
 
 
@@ -376,7 +384,9 @@ class Embedding:
         start, length = self.blocks[i]
         if length == 0:
             return None
-        return pattern_of(embedded[start - 1:start - 1 + length])
+        block = embedded[start - 1:start - 1 + length]
+        low = min(block) - 1  # the block's values form an interval
+        return Perm([v - low for v in block])
 
     def nonempty_slots(self) -> tuple[int, ...]:
         return tuple(i for i, (_, length) in enumerate(self.blocks) if length)
@@ -387,23 +397,32 @@ def embeddings(embedded: Perm, host: Perm) -> tuple[Embedding, ...]:
     """All embeddings of a permutation into a host, sorted by block boundaries.
 
     An embedding cuts the embedded permutation's index word into one
-    consecutive block per host position, such that the generalized
-    substitution of the induced block patterns into the host reproduces
-    the embedded permutation.
+    consecutive, possibly empty block per host position (its slot) such
+    that entries in slots t != s compare as host[t] and host[s] do: so each
+    block's values form an interval, and the blocks' patterns substituted
+    into the host rebuild it.  The search gives the entries non-decreasing
+    slots left to right, highest first (by ascending cuts), and drops slot
+    s for entry i once an earlier entry in another slot compares wrongly.
 
     >>> len(embeddings(Perm((1,)), Perm((1, 2))))
     2
+    >>> len(embeddings(Perm.from_text("5 4 6 3 1 2"), Perm.from_text("3 1 4 2")))
+    12
     """
     g, n = len(embedded), len(host)
-    out = []
-    for cuts in itertools.combinations_with_replacement(range(g + 1), n - 1):
-        bounds = (0, *cuts, g)
-        args = tuple(
-            None if lo == hi else pattern_of(embedded[lo:hi])
-            for lo, hi in zip(bounds, bounds[1:]))
-        if gen_substitute(host, args) == embedded:
+    out, slot, i = [], [n] * g, 0  # an entry's slot is n until first tried
+    while i >= 0:
+        v, s, floor = embedded[i], slot[i] - 1, slot[i - 1] if i else 0
+        while s >= floor and any((embedded[j] < v) != (host[t] < host[s])
+                                 for j, t in enumerate(slot[:i]) if t != s):
+            s -= 1
+        slot[i] = s if s >= floor else n
+        if s >= floor and i == g - 1:
+            sizes = [slot.count(t) for t in range(n)]
             out.append(Embedding(tuple(
-                (lo + 1, hi - lo) for lo, hi in zip(bounds, bounds[1:]))))
+                zip(itertools.accumulate(sizes, initial=1), sizes))))
+        else:
+            i += 1 if s >= floor else -1
     return tuple(out)
 
 

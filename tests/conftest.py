@@ -14,7 +14,8 @@ from permspec import (
     contains,
     disambiguate_system,
 )
-from permspec.perms import avoids, perm_key
+from permspec.perms import (ROOT_12, ROOT_21, Embedding, avoids,
+                            gen_substitute, is_simple, pattern_of, perm_key)
 
 # Test bases used throughout: one substitution-closed, one with an empty
 # simples set, one with a single simple permutation and a non-simple basis
@@ -68,6 +69,63 @@ def scan_avoiders(basis, n: int) -> list[Perm]:
     permutations: how ``enumerate_avoiders`` once found them."""
     patterns = tuple(sorted(set(basis), key=perm_key))
     return [p for p in perms_of_size(n) if avoids(p, patterns)]
+
+
+# --- the pattern_of routes that the slot search and offsets replaced ---------
+
+def cut_embeddings(embedded: Perm, host: Perm) -> tuple[Embedding, ...]:
+    """Embeddings by trying every cut vector, each block ranked by
+    ``pattern_of`` (an empty block is None) and the cut kept when
+    ``gen_substitute`` rebuilds the embedded permutation: how
+    ``embeddings`` once found them."""
+    g, n = len(embedded), len(host)
+    ranked = {(lo, hi): pattern_of(embedded[lo:hi])
+              for lo in range(g) for hi in range(lo + 1, g + 1)}
+    out = []
+    for cuts in itertools.combinations_with_replacement(range(g + 1), n - 1):
+        bounds = (0, *cuts, g)
+        args = tuple(ranked.get(block) for block in zip(bounds, bounds[1:]))
+        if gen_substitute(host, args) == embedded:
+            out.append(Embedding(tuple(
+                (lo + 1, hi - lo) for lo, hi in zip(bounds, bounds[1:]))))
+    return tuple(out)
+
+
+def rank_top_split(perm: Perm):
+    """The top split with every part ranked by ``pattern_of``: how
+    ``top_split`` once built its parts."""
+    n = len(perm)
+    if n == 1:
+        return None, ()
+    run = 0
+    for k in range(1, n):
+        run = max(run, perm[k - 1])
+        if run == k:
+            return ROOT_12, (pattern_of(perm[:k]), pattern_of(perm[k:]))
+    run = n + 1
+    for k in range(1, n):
+        run = min(run, perm[k - 1])
+        if run == n - k + 1:
+            return ROOT_21, (pattern_of(perm[:k]), pattern_of(perm[k:]))
+    blocks: list[tuple[int, int]] = []
+    pos = 0
+    while pos < n:
+        best = 1
+        lo = hi = perm[pos]
+        for j in range(pos + 1, n):
+            lo = min(lo, perm[j])
+            hi = max(hi, perm[j])
+            length = j - pos + 1
+            if length == n:
+                break
+            if hi - lo + 1 == length:
+                best = length
+        blocks.append((pos, best))
+        pos += best
+    skeleton = pattern_of([perm[start] for start, _ in blocks])
+    assert is_simple(skeleton)
+    return skeleton, tuple(pattern_of(perm[start:start + length])
+                           for start, length in blocks)
 
 
 def _pipeline(basis, cap=8):

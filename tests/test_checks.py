@@ -79,6 +79,17 @@ def test_run_check_asks_no_containment(oracle_systems):
     assert "contains" not in vars(checks)
 
 
+def test_run_check_walks_once(oracle_systems, monkeypatch):
+    asked = []
+
+    def counting(n):
+        asked.append(n)
+        return perms_of_size(n)
+    monkeypatch.setattr(checks, "perms_of_size", counting)
+    assert all(ok for _, ok, _ in run_check(*oracle_systems["W"], 7))
+    assert asked == list(range(1, 8))
+
+
 ORACLE_ENTRIES = {
     "tallies": lambda amb, dis, n: next(Profiles([dis]).tallies([dis], n)),
     "equation_violations": lambda amb, dis, n: equation_violations(dis, n),

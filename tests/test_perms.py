@@ -1,6 +1,7 @@
 """Core permutation operations against independent brute-force oracles."""
 
 import copy
+import functools
 import itertools
 import pickle
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from permspec import (
     DecompTree,
     Perm,
+    compute_simples,
     contains,
     decompose,
     embeddings,
@@ -25,11 +27,12 @@ from permspec import (
     substitute,
     tree_text,
 )
-from permspec.perms import (ROOT_12, ROOT_21, pattern_masks, top_split,
-                            tree_labels)
+from permspec.perms import (ROOT_12, ROOT_21, pattern_masks, perm_key,
+                            top_split, tree_labels)
 
 from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
-                      contains_mask, pc, perms_of_size, scan_avoiders)
+                      contains_mask, cut_embeddings, pc, perms_of_size,
+                      rank_top_split, scan_avoiders)
 
 
 # --- pattern containment ---------------------------------------------------
@@ -281,6 +284,58 @@ def test_embeddings_sorted_by_boundaries():
     boundaries = [tuple(start for start, _ in e.blocks) for e in embs]
     assert boundaries == sorted(boundaries)
     assert len(set(embs)) == len(embs)
+
+
+def test_embeddings_match_the_cut_route_on_the_corpus_simples():
+    hosts = {s for basis in CORPUS_BASES
+             for s in compute_simples(basis, cap=10).simples}
+    patterns = [p for g in range(1, 6) for p in perms_of_size(g)]
+    for host in [pc("12"), pc("21")] + sorted(hosts, key=perm_key):
+        for gamma in patterns:
+            assert embeddings(gamma, host) == cut_embeddings(gamma, host), \
+                (gamma, host)
+
+
+@functools.cache
+def simple_roots(n: int) -> list[Perm]:
+    """The roots of size n: 12 and 21, or the simple permutations."""
+    return [p for p in perms_of_size(n) if n == 2 or is_simple(p)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda k: st.permutations(range(1, k + 1)))
+       .map(Perm),
+       st.sampled_from([2, 4, 5, 6, 7, 8])
+       .flatmap(lambda n: st.sampled_from(simple_roots(n))))
+@example(pc("546312"), pc("3142"))
+@example(pc("1234567"), pc("12"))
+@example(pc("7654321"), pc("21"))
+def test_embeddings_match_the_cut_route(gamma, host):
+    embs = embeddings(gamma, host)
+    assert embs == cut_embeddings(gamma, host)
+    for emb in embs:
+        args = [emb.induced(gamma, i) for i in range(len(host))]
+        assert gen_substitute(host, args) == gamma
+
+
+def test_top_split_matches_the_rank_route_through_size_8():
+    try:
+        for n in range(1, 9):
+            for p in perms_of_size(n):
+                root, parts = top_split(p)
+                assert (root, parts) == rank_top_split(p), p
+                assert all(type(q) is Perm for q in parts), p
+    finally:
+        top_split.cache_clear()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1)))
+       .map(Perm))
+@example(Perm(range(1, 41)))
+@example(Perm(range(40, 0, -1)))
+def test_top_split_matches_the_rank_route(p):
+    assert top_split(p) == rank_top_split(p)
 
 
 # --- enumeration oracle ----------------------------------------------------
