@@ -4,10 +4,14 @@ Every check here compares a system against direct, decomposition-based
 membership of concrete permutations, so a passing report means the
 equations describe exactly the sets they claim to.  Used by the command
 line ``check`` subcommand and by the test suite.  Memberships are those of
-``in_restriction`` and ``rhs_multiplicity``, decided on profiles: each
-permutation is split once per run, takes its pattern bits from its
-one-point deletions (``pattern_masks``) and meets only its root's terms.
-``run_check`` makes one walk for all three of its per-permutation checks.
+``in_restriction`` and ``rhs_multiplicity``, decided on profiles.  One walk
+of ``pattern_masks`` gives every permutation up to the size as a ``bytes``
+key with its pattern bits from its one-point deletions; the key's parts,
+cut by ``split_blocks``, give their profiles by key.  Rows with one
+signature (profile, root, arity and parts' packed profiles, per simples
+set) share one tally and one verdict, and a ``Perm`` is built only to
+name a violation.  The basis has profile bits too, so ``run_check``'s
+walk also counts the avoiders of each size.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from .perms import (DEFAULT_ORACLE_CAP, InvalidInputError, Perm, ROOT_12,
-                    ROOT_21, enumerate_avoiders, pattern_masks, top_split)
+                    ROOT_21, enumerate_avoiders, pattern_masks, split_blocks)
 from .restrictions import (FLAVOR_SKEW_INDEC, FLAVOR_SUM_INDEC, MODE_DISJOINT,
                            Restriction, System)
 from .engine import count_coefficients
@@ -27,6 +31,8 @@ _FORBIDDEN = {FLAVOR_SUM_INDEC: SUM_DEC, FLAVOR_SKEW_INDEC: SKEW_DEC}
 _DECOMPOSED = {ROOT_12: SUM_DEC, ROOT_21: SKEW_DEC}
 
 
+# The walk uses neither ``perms_of_size`` nor ``enumerate_avoiders``;
+# perfbench/tracer.py rebinds both names here.
 def perms_of_size(n: int) -> tuple[Perm, ...]:
     return tuple(Perm(v) for v in itertools.permutations(range(1, n + 1)))
 
@@ -44,18 +50,22 @@ class Profiles:
 
     A profile is an int: ``IN_CLOSURE`` when every tree label is 12, 21 or
     a listed simple, ``SUM_DEC``/``SKEW_DEC`` by the top split, and one bit
-    per restriction pattern p contains, by ``pattern_masks``.  A
-    restriction compiles to (forbidden, needed) masks, and a term to the
-    same masks over the packed profiles of p's parts.
+    per pattern p contains, by ``pattern_masks``: the systems' restriction
+    patterns and the basis.  Profiles are kept by ``bytes`` key, one table
+    per simples set.  A restriction compiles to (forbidden, needed) masks,
+    and a term to the same masks over the packed profiles of p's parts.
     """
 
-    def __init__(self, systems: Iterable[System]):
-        patterns = {q for s in systems for eq in s.equations.values()
-                    for r in (eq.lhs, *(a for t in eq.terms for a in t.args))
-                    for q in r.avoid + r.contain}
+    def __init__(self, systems: Iterable[System], basis: Iterable[Perm] = ()):
+        basis = set(basis)
+        patterns = basis | {q for s in systems for eq in s.equations.values()
+                            for r in (eq.lhs, *(a for t in eq.terms
+                                                for a in t.args))
+                            for q in r.avoid + r.contain}
         self._bit = {q: 8 << i for i, q in enumerate(sorted(patterns, key=len))}
         self._width = 3 + len(self._bit)
         self._splits: dict[frozenset, dict] = {}
+        self.basis_mask = sum(self._bit[q] for q in basis)
 
     def test(self, r: Restriction) -> tuple[int, int]:
         """(forbidden, needed) masks of r; a statically empty r admits none."""
@@ -67,19 +77,6 @@ class Profiles:
 
     def _pack(self, profiles: Iterable[int]) -> int:
         return sum(q << i * self._width for i, q in enumerate(profiles))
-
-    def split(self, p: Perm, mask: int, simples: frozenset[Perm]):
-        """(profile, (root, arity), packed parts' profiles) of p; parts first."""
-        table = self._splits.setdefault(simples, {})
-        if p not in table:
-            root, parts = top_split(p)
-            subs = [table[q][0] for q in parts]
-            prof = mask | _DECOMPOSED.get(root, 0)
-            if (root in (None, ROOT_12, ROOT_21) or root in simples) and \
-                    all(s & IN_CLOSURE for s in subs):
-                prof |= IN_CLOSURE
-            table[p] = (prof, (root, len(parts)), self._pack(subs))
-        return table[p]
 
     def _right_sides(self, system: System):
         """(simples, {(root, arity): [(equation index, term masks)]}, per
@@ -94,55 +91,100 @@ class Profiles:
             int(eq.has_atom) for eq in system.equations.values()]
 
     def tallies(self, systems: list[System], max_size: int):
-        """(p, per system p's profile, per system and equation the number
-        of right-side summands holding p) for every p up to max_size; the
-        atom counts as one."""
+        """(key, mask, signature, profs, counts) for every p up to max_size
+        in walk order: key is bytes(p) and mask its pattern bits; profs per
+        system p's profile and counts per system and equation the number of
+        right-side summands holding p (the atom counts as one).  Rows of
+        one signature share profs and counts, tallied once."""
         check_max_size(max_size)
         sides = [self._right_sides(system) for system in systems]
-        masks = pattern_masks(self._bit, max_size)
-        for size in range(1, max_size + 1):
-            for p, (_, mask) in zip(perms_of_size(size), masks):
-                profs, counts = [], []
-                for simples, index, atoms in sides:
-                    prof, shape, parts = self.split(p, mask, simples)
-                    mults = atoms[:] if shape[0] is None else [0] * len(atoms)
+        sets = list(dict.fromkeys(simples for simples, _, _ in sides))
+        tables = [self._splits.setdefault(simples, {}) for simples in sets]
+        which = [sets.index(simples) for simples, _, _ in sides]
+        lower = [bytes((v - d) % 256 for v in range(256))
+                 for d in range(max_size)]  # lower[d] takes v to v - d
+        rows: dict[tuple, tuple] = {}
+        for key, mask in pattern_masks(self._bit, max_size):
+            root, blocks = split_blocks(key)
+            parts = [key[s:s + m].translate(lower[low - 1])
+                     for s, m, low in blocks]
+            flags = mask | _DECOMPOSED.get(root, 0)
+            signature = []
+            for simples, table in zip(sets, tables):
+                subs = [table[q][0] for q in parts]
+                closed = (root in (None, ROOT_12, ROOT_21) or root in simples) \
+                    and all(q & IN_CLOSURE for q in subs)
+                entry = (flags | IN_CLOSURE if closed else flags,
+                         (root, len(parts)), self._pack(subs))
+                if len(key) < max_size:
+                    table[key] = entry
+                signature.append(entry)
+            signature = tuple(signature)
+            row = rows.get(signature)
+            if row is None:
+                row = rows[signature] = ([], [])
+                for w, (_, index, atoms) in zip(which, sides):
+                    prof, shape, packed = signature[w]
+                    mults = atoms[:] if root is None else [0] * len(atoms)
                     for i, forbidden, needed in index.get(shape, ()):
-                        if not parts & forbidden and parts & needed == needed:
+                        if not packed & forbidden and \
+                                packed & needed == needed:
                             mults[i] += 1
-                    profs.append(prof)
-                    counts.append(mults)
-                yield p, profs, counts
+                    row[0].append(prof)
+                    row[1].append(mults)
+            yield key, mask, signature, *row
 
 
 def _membership_check(system: System, profiles: Profiles, k: int):
-    """The k-th system's equation violations in one ``tallies`` row: in an
-    ambiguous system a member must land in at least one summand; in a
-    disjoint one, in exactly one.  Non-members must land in none."""
+    """The k-th system's equation violations, as (left side, detail), in
+    one ``tallies`` row: in an ambiguous system a member must land in at
+    least one summand; in a disjoint one, in exactly one.  Non-members
+    must land in none."""
     exact = system.mode == MODE_DISJOINT
-    lhs_tests = [(lhs, *profiles.test(lhs)) for lhs in system.equations]
+    lhs_tests = [(lhs.name(), *profiles.test(lhs)) for lhs in system.equations]
 
-    def check(p: Perm, profs: list[int], counts: list[list[int]]):
-        for (lhs, forbidden, needed), mult in zip(lhs_tests, counts[k]):
-            member = not profs[k] & forbidden and profs[k] & needed == needed
-            if (mult if exact else min(mult, 1)) != member:
-                yield (f"{lhs.name()} vs {p}: member={member}, "
-                       f"summand multiplicity={mult}")
+    def check(profs: list[int], counts: list[list[int]]):
+        prof = profs[k]
+        for (name, forbidden, needed), mult in zip(lhs_tests, counts[k]):
+            member = not prof & forbidden and prof & needed == needed
+            if (mult if exact else mult > 0) != member:
+                yield name, f"member={member}, summand multiplicity={mult}"
     return check
 
 
 def _conservation_check(before: System, after: System):
     """Shared equations whose right-side membership differs, per row."""
     where = {lhs: j for j, lhs in enumerate(after.equations)}
-    shared = [(lhs, i, where[lhs]) for i, lhs in enumerate(before.equations)
-              if lhs in where]
+    shared = [(lhs.name(), i, where[lhs])
+              for i, lhs in enumerate(before.equations) if lhs in where]
 
-    def check(p: Perm, _, counts: list[list[int]]):
+    def check(_, counts: list[list[int]]):
         was, now = counts
-        for lhs, i, j in shared:
+        for name, i, j in shared:
             if (was[i] > 0) != (now[j] > 0):
-                yield (f"{lhs.name()} vs {p}: before={was[i] > 0}, "
-                       f"after={now[j] > 0}")
+                yield name, f"before={was[i] > 0}, after={now[j] > 0}"
     return check
+
+
+def _walk(profiles: Profiles, systems: list[System], checks, max_size: int):
+    """(per check its violations in walk order, per size n the number of
+    permutations of size n with no basis bit).  Each signature is judged
+    once; a failing one is named by every permutation that has it."""
+    found: list[list[str]] = [[] for _ in checks]
+    avoiders = [0] * (max_size + 1)
+    verdicts: dict[tuple, list] = {}
+    for key, mask, signature, profs, counts in profiles.tallies(systems,
+                                                                max_size):
+        avoiders[len(key)] += not mask & profiles.basis_mask
+        fails = verdicts.get(signature)
+        if fails is None:
+            fails = [list(check(profs, counts)) for check in checks]
+            fails = verdicts[signature] = fails if any(fails) else []
+        if fails:
+            p = Perm(key)
+            for out, fail in zip(found, fails):
+                out.extend(f"{name} vs {p}: {detail}" for name, detail in fail)
+    return found, avoiders
 
 
 def equation_violations(system: System, max_size: int,
@@ -150,8 +192,7 @@ def equation_violations(system: System, max_size: int,
     """Left side vs right side, per equation, on every permutation."""
     profiles = profiles or Profiles([system])
     check = _membership_check(system, profiles, 0)
-    return [v for row in profiles.tallies([system], max_size)
-            for v in check(*row)]
+    return _walk(profiles, [system], [check], max_size)[0][0]
 
 
 def conservation_violations(before: System, after: System, max_size: int,
@@ -159,19 +200,23 @@ def conservation_violations(before: System, after: System, max_size: int,
     """Right-side membership unchanged for every equation both systems share."""
     profiles = profiles or Profiles([before, after])
     check = _conservation_check(before, after)
-    return [v for row in profiles.tallies([before, after], max_size)
-            for v in check(*row)]
+    return _walk(profiles, [before, after], [check], max_size)[0][0]
 
 
-def count_violations(system: System, basis: Sequence[Perm],
-                     max_size: int) -> list[str]:
-    """Root coefficients vs brute-force enumeration of the avoidance class."""
+def count_violations(system: System, basis: Sequence[Perm], max_size: int,
+                     avoiders: Sequence[int] | None = None) -> list[str]:
+    """Root coefficients vs brute-force enumeration of the avoidance class.
+
+    ``avoiders[n]`` is the number of size-n avoiders when a walk has
+    counted them already; otherwise one ``pattern_masks`` walk counts them.
+    """
     check_max_size(max_size)
+    if avoiders is None:
+        avoiders = _walk(Profiles([], basis), [], (), max_size)[1]
     table = count_coefficients(system, max_size)
     out = []
     for n in range(1, max_size + 1):
-        want = len(enumerate_avoiders(basis, n))
-        got = table.root_count(n)
+        got, want = table.root_count(n), avoiders[n]
         if got != want:
             out.append(f"size {n}: engine {got}, enumeration {want}")
     return out
@@ -181,15 +226,13 @@ def run_check(ambiguous: System, disjoint: System,
               max_size: int) -> list[tuple[str, bool, str]]:
     """The full cross-validation suite; one (name, passed, detail) per check."""
     check_max_size(max_size)
-    profiles = Profiles([ambiguous, disjoint])
+    profiles = Profiles([ambiguous, disjoint], disjoint.basis)
     checks = (_membership_check(ambiguous, profiles, 0),
               _membership_check(disjoint, profiles, 1),
               _conservation_check(ambiguous, disjoint))
-    found: list[list[str]] = [[], [], []]
-    for row in profiles.tallies([ambiguous, disjoint], max_size):
-        for out, check in zip(found, checks):
-            out.extend(check(*row))
-    found.append(count_violations(disjoint, disjoint.basis, max_size))
+    found, avoiders = _walk(profiles, [ambiguous, disjoint], checks, max_size)
+    found.append(count_violations(disjoint, disjoint.basis, max_size,
+                                  avoiders))
     names = ("ambiguous equation membership", "specification partition",
              "conservation through disambiguation", "counting equality")
     return [(name, not v, "" if not v else

@@ -211,46 +211,42 @@ def gen_substitute(skeleton: Perm, args: Sequence[Perm | None]) -> Perm | None:
     return substitute(quotient, [args[i] for i in live])
 
 
-@lru_cache(maxsize=None)
-def top_split(perm: Perm):
-    """The single top level of the canonical decomposition of a permutation.
+def split_blocks(perm: Sequence[int]):
+    """The single top level of the canonical decomposition of a sequence
+    of 1..n (a ``Perm``, a tuple or ``bytes``): ``(root, blocks)`` with the
+    root of ``top_split`` and one ``(start, length, low)`` per part, its
+    first position from 0, its length and its least value.
 
-    Returns ``(root, children)`` where root is None for the size-1
-    permutation, "12" or "21" for a linear split (children are the two
-    parts, the first part suitably indecomposable), or a simple Perm whose
-    children are the patterns of its maximal proper blocks.  A part's values
-    form an interval, so it is its slice less its minimum minus one.
-
-    >>> top_split(Perm((2, 1, 3, 5, 4)))
-    ('12', (Perm((2, 1)), Perm((1, 3, 2))))
-    >>> top_split(Perm((4, 5, 3, 1, 2)))
-    ('21', (Perm((1, 2)), Perm((3, 1, 2))))
-    >>> top_split(Perm((3, 4, 6, 2, 1, 5)))
-    (Perm((2, 4, 1, 3)), (Perm((1, 2)), Perm((1,)), Perm((2, 1)), Perm((1,))))
+    >>> split_blocks(bytes((3, 4, 6, 2, 1, 5)))
+    (Perm((2, 4, 1, 3)), ((0, 2, 3), (2, 1, 6), (3, 2, 1), (5, 1, 5)))
     """
     n = len(perm)
     if n == 1:
         return None, ()
     run = 0
     for k in range(1, n):
-        run = max(run, perm[k - 1])
+        if perm[k - 1] > run:
+            run = perm[k - 1]
         if run == k:
-            return ROOT_12, (Perm(perm[:k]), Perm([v - k for v in perm[k:]]))
+            return ROOT_12, ((0, k, 1), (k, n - k, k + 1))
     run = n + 1
     for k in range(1, n):
-        run = min(run, perm[k - 1])
+        if perm[k - 1] < run:
+            run = perm[k - 1]
         if run == n - k + 1:
-            return ROOT_21, (Perm([v + k - n for v in perm[:k]]), Perm(perm[k:]))
+            return ROOT_21, ((0, k, run), (k, n - k, 1))
     # Neither linear case applies, so the maximal proper blocks are pairwise
     # disjoint and tile the positions; scan them greedily left to right.
-    blocks: list[tuple[int, int, int]] = []  # (start, length, minimum)
+    blocks: list[tuple[int, int, int]] = []
     pos = 0
     while pos < n:
         best, low = 1, perm[pos]
         lo = hi = perm[pos]
         for j in range(pos + 1, n):
-            lo = min(lo, perm[j])
-            hi = max(hi, perm[j])
+            if perm[j] < lo:
+                lo = perm[j]
+            elif perm[j] > hi:
+                hi = perm[j]
             length = j - pos + 1
             if length == n:
                 break
@@ -260,10 +256,31 @@ def top_split(perm: Perm):
         pos += best
     skeleton = pattern_of([low for _, _, low in blocks])
     if not is_simple(skeleton):
-        raise AssertionError(f"block quotient of {perm} is not simple")
-    children = tuple(Perm([v - low + 1 for v in perm[start:start + length]])
-                     for start, length, low in blocks)
-    return skeleton, children
+        raise AssertionError(f"block quotient of {list(perm)} is not simple")
+    return skeleton, tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def top_split(perm: Perm):
+    """The single top level of the canonical decomposition of a permutation.
+
+    Returns ``(root, children)`` where root is None for the size-1
+    permutation, "12" or "21" for a linear split (children are the two
+    parts, the first part suitably indecomposable), or a simple Perm whose
+    children are the patterns of its maximal proper blocks.  The parts are
+    the blocks of ``split_blocks``; a block's values form an interval, so
+    its pattern is its slice less its least value minus one.
+
+    >>> top_split(Perm((2, 1, 3, 5, 4)))
+    ('12', (Perm((2, 1)), Perm((1, 3, 2))))
+    >>> top_split(Perm((4, 5, 3, 1, 2)))
+    ('21', (Perm((1, 2)), Perm((3, 1, 2))))
+    >>> top_split(Perm((3, 4, 6, 2, 1, 5)))
+    (Perm((2, 4, 1, 3)), (Perm((1, 2)), Perm((1,)), Perm((2, 1)), Perm((1,))))
+    """
+    root, blocks = split_blocks(perm)
+    return root, tuple(Perm([v - low + 1 for v in perm[start:start + length]])
+                       for start, length, low in blocks)
 
 
 @dataclass(frozen=True)
@@ -453,9 +470,9 @@ def enumerate_avoiders(basis: Iterable[Perm], n: int,
                        cap: int = DEFAULT_ORACLE_CAP) -> list[Perm]:
     """All permutations of size n avoiding every basis element, in
     lexicographic order: p avoids it when p is no basis element and its
-    one-point deletions avoid it (``pattern_masks``).  n is capped.
+    one-point deletions avoid it (``pattern_masks``).  n must lie in 1..cap.
     """
-    if n > cap:
-        raise ValueError(f"oracle size {n} exceeds cap {cap}")
+    if not 1 <= n <= cap:
+        raise InvalidInputError(f"oracle size {n} is outside 1..{cap}")
     masks = pattern_masks(dict.fromkeys(basis, 1), n)
     return [Perm(key) for key, mask in masks if len(key) == n and not mask]

@@ -14,8 +14,13 @@ from permspec import (
     contains,
     disambiguate_system,
 )
+from permspec.checks import (IN_CLOSURE, SKEW_DEC, SUM_DEC, Profiles,
+                             check_max_size)
+from permspec.engine import count_coefficients
 from permspec.perms import (ROOT_12, ROOT_21, Embedding, avoids,
-                            gen_substitute, is_simple, pattern_of, perm_key)
+                            enumerate_avoiders, gen_substitute, is_simple,
+                            pattern_masks, pattern_of, perm_key, top_split)
+from permspec.restrictions import MODE_DISJOINT
 
 # Test bases used throughout: one substitution-closed, one with an empty
 # simples set, one with a single simple permutation and a non-simple basis
@@ -56,7 +61,7 @@ def perms_of_size(n: int) -> list[Perm]:
 
 def contains_mask(p: Perm, bits: dict) -> int:
     """OR of bits[q] over the patterns q that p contains, one ``contains``
-    call per pattern: how ``Profiles.split`` once set the pattern bits."""
+    call per pattern: how ``Profiles`` once set the pattern bits."""
     mask = 0
     for q, bit in bits.items():
         if contains(p, q):
@@ -126,6 +131,89 @@ def rank_top_split(perm: Perm):
     assert is_simple(skeleton)
     return skeleton, tuple(pattern_of(perm[start:start + length])
                            for start, length in blocks)
+
+
+# --- the Perm walk that the bytes walk and the verdict memo replaced ---------
+
+class PermWalkProfiles(Profiles):
+    """Profiles kept by ``Perm``, each permutation split by the cached
+    ``top_split`` and tallied on its own: how ``Profiles`` once walked."""
+
+    def split(self, p: Perm, mask: int, simples: frozenset):
+        table = self._splits.setdefault(simples, {})
+        if p not in table:
+            root, parts = top_split(p)
+            subs = [table[q][0] for q in parts]
+            prof = mask | {ROOT_12: SUM_DEC, ROOT_21: SKEW_DEC}.get(root, 0)
+            if (root in (None, ROOT_12, ROOT_21) or root in simples) and \
+                    all(s & IN_CLOSURE for s in subs):
+                prof |= IN_CLOSURE
+            table[p] = (prof, (root, len(parts)), self._pack(subs))
+        return table[p]
+
+    def perm_tallies(self, systems, max_size: int):
+        """(p, per system its profile, per system and equation its
+        right-side summand count) for every p up to max_size."""
+        check_max_size(max_size)
+        sides = [self._right_sides(system) for system in systems]
+        masks = pattern_masks(self._bit, max_size)
+        for size in range(1, max_size + 1):
+            for p, (_, mask) in zip(perms_of_size(size), masks):
+                profs, counts = [], []
+                for simples, index, atoms in sides:
+                    prof, shape, parts = self.split(p, mask, simples)
+                    mults = atoms[:] if shape[0] is None else [0] * len(atoms)
+                    for i, forbidden, needed in index.get(shape, ()):
+                        if not parts & forbidden and parts & needed == needed:
+                            mults[i] += 1
+                    profs.append(prof)
+                    counts.append(mults)
+                yield p, profs, counts
+
+
+def perm_walk_report(ambiguous, disjoint, max_size: int):
+    """``run_check`` on the Perm walk: every row checked on its own, and
+    one ``enumerate_avoiders`` call per size."""
+    profiles = PermWalkProfiles([ambiguous, disjoint])
+
+    def membership(system, k):
+        exact = system.mode == MODE_DISJOINT
+        tests = [(lhs, *profiles.test(lhs)) for lhs in system.equations]
+
+        def check(p, profs, counts):
+            for (lhs, forbidden, needed), mult in zip(tests, counts[k]):
+                member = not profs[k] & forbidden and \
+                    profs[k] & needed == needed
+                if (mult if exact else min(mult, 1)) != member:
+                    yield (f"{lhs.name()} vs {p}: member={member}, "
+                           f"summand multiplicity={mult}")
+        return check
+
+    def conservation(p, _, counts):
+        was, now = counts
+        for lhs, i, j in shared:
+            if (was[i] > 0) != (now[j] > 0):
+                yield (f"{lhs.name()} vs {p}: before={was[i] > 0}, "
+                       f"after={now[j] > 0}")
+    where = {lhs: j for j, lhs in enumerate(disjoint.equations)}
+    shared = [(lhs, i, where[lhs]) for i, lhs in
+              enumerate(ambiguous.equations) if lhs in where]
+    checks = (membership(ambiguous, 0), membership(disjoint, 1), conservation)
+    found = [[], [], []]
+    for row in profiles.perm_tallies([ambiguous, disjoint], max_size):
+        for out, check in zip(found, checks):
+            out.extend(check(*row))
+    table = count_coefficients(disjoint, max_size)
+    found.append([
+        f"size {n}: engine {table.root_count(n)}, enumeration {want}"
+        for n in range(1, max_size + 1)
+        for want in [len(enumerate_avoiders(disjoint.basis, n))]
+        if table.root_count(n) != want])
+    names = ("ambiguous equation membership", "specification partition",
+             "conservation through disambiguation", "counting equality")
+    return [(name, not v, "" if not v else
+             f"{len(v)} violation(s); first: {v[0]}")
+            for name, v in zip(names, found)]
 
 
 def _pipeline(basis, cap=8):

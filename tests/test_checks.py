@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from permspec import InvalidInputError, checks, count_coefficients
+from permspec import InvalidInputError, Perm, checks, count_coefficients
 from permspec.checks import (
     IN_CLOSURE,
     SKEW_DEC,
@@ -18,8 +18,8 @@ from permspec.checks import (
     perms_of_size,
     run_check,
 )
-from permspec.perms import (contains, embeddings, enumerate_avoiders,
-                            is_simple, top_split, tree_labels)
+from permspec.perms import (DEFAULT_ORACLE_CAP, contains, embeddings,
+                            is_simple, pattern_masks, top_split, tree_labels)
 from permspec.restrictions import (
     MODE_DISJOINT,
     Equation,
@@ -28,13 +28,17 @@ from permspec.restrictions import (
     rhs_multiplicity,
 )
 
-from conftest import contains_mask, scan_avoiders
+from conftest import (_pipeline, contains_mask, pc, perm_walk_report,
+                      scan_avoiders)
 
 
 @pytest.fixture(scope="module")
 def oracle_systems(systems_one_simple, corpus_systems):
-    return {"W": systems_one_simple, "L1": corpus_systems["L1"],
-            "B1": corpus_systems["B1"], "B3": corpus_systems["B3"]}
+    l3 = _pipeline(tuple(map(pc, ("1423", "2431", "4123", "24153", "51432"))),
+                   cap=10)
+    return {"W": systems_one_simple, "L1": corpus_systems["L1"], "L3": l3,
+            "B1": corpus_systems["B1"], "B3": corpus_systems["B3"],
+            "B4": corpus_systems["B4"]}
 
 
 def _restrictions(system):
@@ -49,7 +53,8 @@ def test_profile_route_matches_plain_route(oracle_systems, name):
     for system in (amb, dis):
         simples = system.simples_set()
         tests = {r: profiles.test(r) for r in _restrictions(system)}
-        for p, (prof,), (mults,) in profiles.tallies([system], 6):
+        for key, _, _, (prof,), (mults,) in profiles.tallies([system], 6):
+            p = Perm(key)
             for r, (forbidden, needed) in tests.items():
                 member = not prof & forbidden and prof & needed == needed
                 assert member == in_restriction(p, r, simples), (p, r)
@@ -63,9 +68,10 @@ def test_pattern_bits_match_contains_route(oracle_systems, name):
     profiles = Profiles([amb, dis])
     flags = IN_CLOSURE | SUM_DEC | SKEW_DEC
     seen = 0
-    for p, profs, _ in profiles.tallies([amb, dis], 7):
-        want = contains_mask(p, profiles._bit)
-        assert [prof & ~flags for prof in profs] == [want, want], p
+    for key, mask, _, profs, _ in profiles.tallies([amb, dis], 7):
+        want = contains_mask(Perm(key), profiles._bit)
+        assert mask == want, key
+        assert [prof & ~flags for prof in profs] == [want, want], key
         seen += 1
     assert seen == 5913  # every permutation of size 1..7
 
@@ -80,14 +86,33 @@ def test_run_check_asks_no_containment(oracle_systems):
 
 
 def test_run_check_walks_once(oracle_systems, monkeypatch):
-    asked = []
+    walks = []
 
-    def counting(n):
-        asked.append(n)
-        return perms_of_size(n)
-    monkeypatch.setattr(checks, "perms_of_size", counting)
+    def recording(bits, max_size):
+        sizes = set()
+        walks.append((max_size, sizes))
+        for key, mask in pattern_masks(bits, max_size):
+            sizes.add(len(key))
+            yield key, mask
+    monkeypatch.setattr(checks, "pattern_masks", recording)
     assert all(ok for _, ok, _ in run_check(*oracle_systems["W"], 7))
-    assert asked == list(range(1, 8))
+    assert walks == [(7, set(range(1, 8)))]
+
+
+@pytest.mark.parametrize("name", ["W", "L1", "L3", "B1", "B4"])
+def test_run_check_matches_the_perm_walk(oracle_systems, name):
+    amb, dis = oracle_systems[name]
+    report = run_check(amb, dis, 7)
+    assert all(ok for _, ok, _ in report)
+    assert report == perm_walk_report(amb, dis, 7)
+
+
+@pytest.mark.parametrize("name", ["W", "B1", "L3"])
+def test_mutants_match_the_perm_walk(oracle_systems, name):
+    for kind, (amb, dis) in _mutants(*oracle_systems[name]).items():
+        report = run_check(amb, dis, 6)
+        assert not all(ok for _, ok, _ in report), kind
+        assert report == perm_walk_report(amb, dis, 6), kind
 
 
 ORACLE_ENTRIES = {
@@ -215,13 +240,16 @@ def test_mutated_systems_fail_as_the_plain_route_says(oracle_systems, name):
 
 def test_count_violations_keeps_the_oracle_cap(systems_132, monkeypatch):
     # Sizes past DEFAULT_ORACLE_CAP scan tens of millions of permutations;
-    # the enumeration's own cap must stay in force.
-    calls = []
+    # the count walks once, to the size asked, and never past the cap.
+    walks = []
 
-    def recording(basis, n, **options):
-        calls.append(options)
-        return enumerate_avoiders(basis, n, **options)
-    monkeypatch.setattr(checks, "enumerate_avoiders", recording)
+    def recording(bits, max_size):
+        walks.append(max_size)
+        return pattern_masks(bits, max_size)
+    monkeypatch.setattr(checks, "pattern_masks", recording)
     _, dis = systems_132
     assert count_violations(dis, dis.basis, 5) == []
-    assert calls == [{}] * 5
+    assert walks == [5]
+    with pytest.raises(InvalidInputError):
+        count_violations(dis, dis.basis, DEFAULT_ORACLE_CAP + 1)
+    assert walks == [5]

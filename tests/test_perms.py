@@ -27,8 +27,9 @@ from permspec import (
     substitute,
     tree_text,
 )
-from permspec.perms import (ROOT_12, ROOT_21, pattern_masks, perm_key,
-                            top_split, tree_labels)
+from permspec.perms import (ROOT_12, ROOT_21, InvalidInputError,
+                            pattern_masks, perm_key, split_blocks, top_split,
+                            tree_labels)
 
 from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
                       contains_mask, cut_embeddings, pc, perms_of_size,
@@ -329,6 +330,23 @@ def test_top_split_matches_the_rank_route_through_size_8():
         top_split.cache_clear()
 
 
+def test_bytes_split_matches_top_split_through_size_8():
+    # The oracle walk splits bytes keys and cuts each part from the key,
+    # lowering its values by the block's least value minus one.
+    lower = [bytes((v - d) % 256 for v in range(256)) for d in range(8)]
+    try:
+        for n in range(1, 9):
+            for p in perms_of_size(n):
+                key = bytes(p)
+                root, blocks = split_blocks(key)
+                parts = tuple(Perm(key[s:s + m].translate(lower[low - 1]))
+                              for s, m, low in blocks)
+                assert (root, parts) == top_split(p), p
+                assert split_blocks(p) == (root, blocks), p
+    finally:
+        top_split.cache_clear()
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1)))
        .map(Perm))
@@ -352,6 +370,12 @@ def test_enumerate_avoiders_sorted_and_capped():
     assert out == sorted(out, key=lambda p: p.values)
     with pytest.raises(ValueError):
         enumerate_avoiders([pc("132")], 11)
+
+
+@pytest.mark.parametrize("n", [0, -1, 11])
+def test_enumerate_avoiders_refuses_sizes_outside_the_cap(n):
+    with pytest.raises(InvalidInputError, match=f"oracle size {n} "):
+        enumerate_avoiders([pc("132")], n)
 
 
 CORPUS_BASES = [BASIS_132, BASIS_SEPARABLE, BASIS_ONE_SIMPLE,
