@@ -4,16 +4,16 @@ Starting point: the closure of the class decomposes every member as an
 atom, a 12 or 21 split with suitably indecomposable first part, or a
 simple-rooted inflation.  Avoidance of the non-simple basis elements is
 then pushed from each equation's left side into the components of its
-terms, one excluded pattern at a time, through the embeddings of that
-pattern in the term's root: each embedding must be blocked in some slot,
-and every way of choosing a blocking slot per embedding yields one term
-whose components avoid the patterns pushed into them.  Containment of a
-mandatory pattern is pushed down likewise, one summand per embedding;
-``restriction_equation`` does both and seeds every equation, here and in
-the disambiguator.  ``close`` walks from the class's root restriction and
-gives an equation to each restriction that appears on a right side, so
-every equation is reachable from the root; everything lives in the finite
-pattern closure of the basis, so this terminates.
+terms, one excluded pattern at a time: its ``embedding_parts`` in the
+term's root become (slot, pattern bit) clauses, each embedding must be
+blocked in some slot, and every choice of one slot per embedding yields
+one term, its components' avoid masks ORed with the chosen bits.
+Containment of a mandatory pattern is pushed into contain masks, one
+summand per embedding; ``restriction_equation`` does both and seeds every
+equation, here and in the disambiguator.  ``close`` walks from the class's
+root restriction and gives an equation to each restriction that appears
+on a right side, so every equation is reachable from the root; everything
+lives in the finite pattern closure of the basis, so this terminates.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .perms import (
     ROOT_12,
     ROOT_21,
     avoids,
-    embeddings,
+    embedding_parts,
     is_simple,
     minimal_patterns,
     perm_key,
@@ -43,6 +43,8 @@ from .restrictions import (
     Restriction,
     System,
     Term,
+    _interned,
+    _number,
     make_equation,
     prune_subsumed,
     term_key,
@@ -117,24 +119,22 @@ def closure_system(simples: Iterable[Perm]) -> System:
                   simples=simples_t, mode=MODE_DISJOINT)
 
 
-def _push_avoidance(args: tuple[Restriction, ...], excluded: Perm,
-                    embs) -> set[tuple[Restriction, ...]]:
+def _push_avoidance(args: tuple, clauses: list) -> set[tuple]:
     """All distinct component tuples obtained by blocking every embedding.
 
-    Each embedding of the excluded pattern in the root must be prevented
-    in one of its nonempty slots; blocking slot k means the component there
-    additionally avoids the induced pattern.  Profiles are merged as
-    they are produced, and any profile with a statically empty component
-    (say, forced avoidance of the size-1 pattern) is dropped on the spot.
+    Each embedding of the excluded pattern in the root is a clause of
+    (slot, pattern bit) pairs and must be blocked in one of them; blocking
+    slot k ORs the bit into that component's avoid mask.  Profiles are
+    merged as they are produced, and any profile with a statically empty
+    component (say, avoiding the size-1 pattern) is dropped on the spot.
     """
     profiles = {args}
-    for emb in embs:
+    for clause in clauses:
         nxt: set[tuple[Restriction, ...]] = set()
         for prof in profiles:
-            for slot in emb.nonempty_slots():
+            for slot, bit in clause:
                 r = prof[slot]
-                blocked = Restriction(
-                    r.flavor, r.avoid + (emb.induced(excluded, slot),), r.contain)
+                blocked = _interned(r.flavor, r.avoid_mask | bit, r.contain_mask)
                 if not blocked.empty:
                     nxt.add(prof[:slot] + (blocked,) + prof[slot + 1:])
         profiles = nxt
@@ -155,10 +155,11 @@ def add_constraints(term: Term, patterns: Iterable[Perm]) -> list[Term]:
     pending = sorted(set(patterns), key=perm_key)
     out = [term]
     for excluded in pending:
-        embs = embeddings(excluded, root_perm(term.root))
+        clauses = [[(slot, 1 << _number(q)) for slot, q in parts] for parts
+                   in embedding_parts(excluded, root_perm(term.root))]
         nxt: set[Term] = set()
         for t in out:
-            for prof in _push_avoidance(t.args, excluded, embs):
+            for prof in _push_avoidance(t.args, clauses):
                 nxt.add(Term(t.root, prof))
         out = prune_subsumed(nxt)
         if not out:
@@ -170,18 +171,18 @@ def add_mandatory(term: Term, pattern: Perm) -> list[Term]:
     """Rewrite a term restricted to permutations containing a pattern.
 
     One summand per embedding of the pattern in the root: the components
-    hosting a nonempty block must contain the pattern induced on them.  The union
-    is exact but possibly ambiguous (an occurrence may realize several
-    embeddings); duplicates are merged and statically empty summands
-    dropped.
+    hosting a nonempty block must contain the pattern induced on them, its
+    bit ORed into their contain masks.  The union is exact but possibly
+    ambiguous (an occurrence may realize several embeddings); duplicates
+    are merged and statically empty summands dropped.
     """
     out = set()
-    for emb in embeddings(pattern, root_perm(term.root)):
+    for parts in embedding_parts(pattern, root_perm(term.root)):
         args = list(term.args)
-        for slot in emb.nonempty_slots():
+        for slot, q in parts:
             r = args[slot]
-            args[slot] = Restriction(
-                r.flavor, r.avoid, r.contain + (emb.induced(pattern, slot),))
+            args[slot] = _interned(
+                r.flavor, r.avoid_mask, r.contain_mask | 1 << _number(q))
             if args[slot].empty:
                 break
         else:

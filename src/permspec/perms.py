@@ -405,9 +405,6 @@ class Embedding:
         low = min(block) - 1  # the block's values form an interval
         return Perm([v - low for v in block])
 
-    def nonempty_slots(self) -> tuple[int, ...]:
-        return tuple(i for i, (_, length) in enumerate(self.blocks) if length)
-
 
 @lru_cache(maxsize=None)
 def embeddings(embedded: Perm, host: Perm) -> tuple[Embedding, ...]:
@@ -441,6 +438,18 @@ def embeddings(embedded: Perm, host: Perm) -> tuple[Embedding, ...]:
         else:
             i += 1 if s >= floor else -1
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def embedding_parts(embedded: Perm, host: Perm) -> tuple[tuple, ...]:
+    """Per embedding, in the order of ``embeddings``, the (slot, induced
+    pattern) pairs of its nonempty slots.
+
+    >>> embedding_parts(Perm((1, 2)), Perm((1, 2)))[1]
+    ((0, Perm((1,))), (1, Perm((1,))))
+    """
+    return tuple(tuple((i, emb.induced(embedded, i)) for i in range(len(host))
+                       if emb.blocks[i][1]) for emb in embeddings(embedded, host))
 
 
 def pattern_masks(bits: dict[Perm, int], max_size: int):

@@ -299,7 +299,7 @@ def complement_term(t: Term) -> list[Term]:
     slot, sum rather than product.
     """
     return sorted((Term(t.root, t.args[:k] + (cell,) + tuple(
-        Restriction(a.flavor) for a in t.args[k + 1:]))
+        _interned(a.flavor, 0, 0) for a in t.args[k + 1:]))
         for k, arg in enumerate(t.args)
         for cell in complement_restriction(arg)), key=term_key)
 

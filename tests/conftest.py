@@ -17,10 +17,11 @@ from permspec import (
 from permspec.checks import (IN_CLOSURE, SKEW_DEC, SUM_DEC, Profiles,
                              check_max_size)
 from permspec.engine import count_coefficients
-from permspec.perms import (ROOT_12, ROOT_21, Embedding, avoids,
+from permspec.perms import (ROOT_12, ROOT_21, Embedding, avoids, embeddings,
                             enumerate_avoiders, gen_substitute, is_simple,
-                            pattern_masks, pattern_of, perm_key, top_split)
-from permspec.restrictions import MODE_DISJOINT
+                            pattern_masks, pattern_of, perm_key, root_perm,
+                            top_split)
+from permspec.restrictions import MODE_DISJOINT, Restriction, Term, term_key
 
 # Test bases used throughout: one substitution-closed, one with an empty
 # simples set, one with a single simple permutation and a non-simple basis
@@ -40,6 +41,7 @@ BASIS_ONE_SIMPLE = (
 CORPUS = {
     "L1": ("1234", "2314", "3241"),
     "L2": ("1234", "2314", "2431", "41352", "41523"),
+    "L3": ("1423", "2431", "4123", "24153", "51432"),
     "L4": ("2413", "3421", "4123"),
     "B1": ("2314", "4132", "31245"),
     "B2": ("2314", "4123", "4312"),
@@ -131,6 +133,46 @@ def rank_top_split(perm: Perm):
     assert is_simple(skeleton)
     return skeleton, tuple(pattern_of(perm[start:start + length])
                            for start, length in blocks)
+
+
+# --- the tuple-built pushes that the mask clauses replaced ------------------
+
+def push_avoidance_reference(args, excluded: Perm, embs) -> set:
+    """Every component tuple blocking each embedding, each blocked component
+    a ``Restriction`` built from tuples with the induced pattern added: how
+    ``builder._push_avoidance`` once pushed avoidance."""
+    profiles = {args}
+    for emb in embs:
+        nxt = set()
+        for prof in profiles:
+            for slot in [i for i, (_, n) in enumerate(emb.blocks) if n]:
+                r = prof[slot]
+                blocked = Restriction(
+                    r.flavor, r.avoid + (emb.induced(excluded, slot),), r.contain)
+                if not blocked.empty:
+                    nxt.add(prof[:slot] + (blocked,) + prof[slot + 1:])
+        profiles = nxt
+        if not profiles:
+            break
+    return profiles
+
+
+def add_mandatory_reference(term: Term, pattern: Perm) -> list[Term]:
+    """One summand per embedding, each hosting component a ``Restriction``
+    built from tuples with the induced pattern made mandatory: how
+    ``builder.add_mandatory`` once pushed containment."""
+    out = set()
+    for emb in embeddings(pattern, root_perm(term.root)):
+        args = list(term.args)
+        for slot in [i for i, (_, n) in enumerate(emb.blocks) if n]:
+            r = args[slot]
+            args[slot] = Restriction(
+                r.flavor, r.avoid, r.contain + (emb.induced(pattern, slot),))
+            if args[slot].empty:
+                break
+        else:
+            out.add(Term(term.root, tuple(args)))
+    return sorted(out, key=term_key)
 
 
 # --- the Perm walk that the bytes walk and the verdict memo replaced ---------

@@ -3,6 +3,7 @@ the equation set, and oracle soundness of every equation."""
 
 import pytest
 
+from permspec import builder
 from permspec import (
     FLAVOR_ALL,
     FLAVOR_SKEW_INDEC,
@@ -16,15 +17,20 @@ from permspec import (
     ambiguous_system,
     class_input,
     closure_system,
+    compute_simples,
     contains,
     count_coefficients,
     disambiguate_system,
     in_restriction,
     rhs_multiplicity,
 )
-from permspec.perms import ROOT_12, ROOT_21
+from permspec.perms import (ROOT_12, ROOT_21, embedding_parts, embeddings,
+                            perm_key, root_perm)
+from permspec.restrictions import _number, prune_subsumed, term_key
 
-from conftest import BASIS_ONE_SIMPLE, pc, perms_of_size
+from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
+                      _pipeline, add_mandatory_reference, pc, perms_of_size,
+                      push_avoidance_reference)
 
 
 def CA(*avoid, contain=()):
@@ -218,3 +224,74 @@ def test_class_input_validation():
         class_input([pc("132")], [pc("321")])           # not simple
     with pytest.raises(ValueError):
         class_input([pc("132")], [pc("3142")])          # contains basis element
+
+
+# --- pushes by mask clauses -------------------------------------------------
+
+def test_pushes_match_the_tuple_built_references(monkeypatch):
+    # Every push the builds of W, Av(132), Sep and the corpus make, in both
+    # stages, replayed step by step: the mask clauses give the profile sets
+    # and term lists that tuple-built restrictions gave.
+    avoid_calls, contain_calls = set(), set()
+    add_constraints, add_mandatory = builder.add_constraints, builder.add_mandatory
+
+    def spy_constraints(term, patterns):
+        avoid_calls.add((term, tuple(patterns)))
+        return add_constraints(term, patterns)
+
+    def spy_mandatory(term, pattern):
+        contain_calls.add((term, pattern))
+        return add_mandatory(term, pattern)
+
+    monkeypatch.setattr(builder, "add_constraints", spy_constraints)
+    monkeypatch.setattr(builder, "add_mandatory", spy_mandatory)
+    for basis in [BASIS_ONE_SIMPLE, BASIS_132, BASIS_SEPARABLE] + [
+            tuple(map(pc, b)) for b in CORPUS.values()]:
+        _pipeline(basis, cap=10)
+    monkeypatch.undo()
+
+    pairs = set()
+    for term, patterns in avoid_calls:
+        root = root_perm(term.root)
+        out = [term]
+        for excluded in sorted(set(patterns), key=perm_key):
+            pairs.add((excluded, root))
+            clauses = [[(slot, 1 << _number(q)) for slot, q in parts]
+                       for parts in embedding_parts(excluded, root)]
+            want = {t: push_avoidance_reference(
+                t.args, excluded, embeddings(excluded, root)) for t in out}
+            for t, profiles in want.items():
+                assert builder._push_avoidance(t.args, clauses) == profiles
+            out = prune_subsumed(Term(t.root, prof)
+                                 for t, profiles in want.items()
+                                 for prof in profiles)
+            if not out:
+                break
+        assert add_constraints(term, patterns) == sorted(out, key=term_key)
+    for term, pattern in contain_calls:
+        pairs.add((pattern, root_perm(term.root)))
+        assert add_mandatory(term, pattern) == \
+            add_mandatory_reference(term, pattern)
+    assert contain_calls and len(pairs) > 100, len(pairs)
+
+
+def test_b1_builds_few_restrictions(monkeypatch):
+    # Each push ORs a pattern bit into a component's masks and looks the
+    # result up in the intern table, so a Restriction is only constructed
+    # for the closure shapes and for masks seen for the first time; the
+    # tuple-built pushes constructed 4,830 in the build and 958 in the
+    # disambiguation.
+    basis = tuple(map(pc, CORPUS["B1"]))
+    ci = class_input(basis, compute_simples(basis, cap=10).simples)
+    built = [0]
+    post_init = Restriction.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Restriction, "__post_init__", counted)
+    amb = ambiguous_system(ci)
+    in_builder, built[0] = built[0], 0
+    disambiguate_system(amb)
+    assert in_builder <= 300 and built[0] <= 300, (in_builder, built[0])

@@ -28,17 +28,13 @@ from permspec.restrictions import (
     rhs_multiplicity,
 )
 
-from conftest import (_pipeline, contains_mask, pc, perm_walk_report,
-                      scan_avoiders)
+from conftest import contains_mask, perm_walk_report, scan_avoiders
 
 
 @pytest.fixture(scope="module")
 def oracle_systems(systems_one_simple, corpus_systems):
-    l3 = _pipeline(tuple(map(pc, ("1423", "2431", "4123", "24153", "51432"))),
-                   cap=10)
-    return {"W": systems_one_simple, "L1": corpus_systems["L1"], "L3": l3,
-            "B1": corpus_systems["B1"], "B3": corpus_systems["B3"],
-            "B4": corpus_systems["B4"]}
+    names = ("L1", "L3", "B1", "B3", "B4")
+    return {"W": systems_one_simple, **{n: corpus_systems[n] for n in names}}
 
 
 def _restrictions(system):

@@ -8,4 +8,4 @@ import permspec.perms
 def test_perms_doctests():
     result = doctest.testmod(permspec.perms)
     assert result.failed == 0
-    assert result.attempted >= 14
+    assert result.attempted >= 16

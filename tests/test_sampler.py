@@ -25,7 +25,7 @@ from permspec import (
 from permspec import sampler
 from permspec.perms import avoids, recurse, root_perm, substitute
 
-from conftest import BASIS_132, BASIS_ONE_SIMPLE, CORPUS, _pipeline, pc
+from conftest import BASIS_132, BASIS_ONE_SIMPLE, pc
 
 
 @pytest.fixture(scope="module")
@@ -282,8 +282,6 @@ def per_visit_reference(state, z, window, budget):
         f"no size in [{lo}, {hi}] after {budget} draws at z={z}")
 
 
-L3 = ("1423", "2431", "4123", "24153", "51432")
-
 # (basis, z, window) of every Boltzmann stream the benchmark draws: the sha256
 # of the first 20 draws at seed 0, one per line, captured from the per-visit
 # sampler, and a budget that some draws of seed 7 run out of.
@@ -311,9 +309,8 @@ BOLTZMANN_STREAMS = {
 
 @pytest.fixture(scope="module")
 def stream_systems(systems_one_simple, corpus_systems):
-    systems = {"W": systems_one_simple[1],
-               "L3": _pipeline(tuple(pc(b) for b in L3), cap=10)[1]}
-    for name in ("L1", "B1", "B4"):
+    systems = {"W": systems_one_simple[1]}
+    for name in ("L1", "L3", "B1", "B4"):
         systems[name] = corpus_systems[name][1]
     return systems
 

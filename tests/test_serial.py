@@ -115,6 +115,7 @@ def test_worked_disjoint_spec_text_is_pinned(systems_one_simple,
         "W": "796cc48692f6515a68704c31d1c6f6dab362573f6b7483ab24fbb611f8fec61e",
         "L1": "28a9ec5761d3f9c37fe57d5953e9efe1447e441402a796c330e690f345a80501",
         "L2": "a37f0faf12d058f4e94d0aaecc5678a0fe5a2ea365d6e4fd5f4c457297efc40f",
+        "L3": "fb00ab5c80f293b682f82077ccfd29348c96c9af1e2a4325feb5486fb8d9d27e",
         "L4": "cc6247e3de6451c700508e532b93a885d5582b620a3657931c7163abc3655f66",
         "B1": "8b28920793e15124ef4c44f24c292ed617794348af4a6fb6903e1df2b6460cc0",
         "B2": "d0fd2815756f945fec118efc5421756c32f656e5a8dffe170fa9c0ecaac07f1a",
@@ -126,3 +127,40 @@ def test_worked_disjoint_spec_text_is_pinned(systems_one_simple,
                  for name, (_, disjoint) in corpus_systems.items())
     assert {k: hashlib.sha256(t.encode()).hexdigest()
             for k, t in texts.items()} == pinned
+
+
+def _digest(system) -> str:
+    return hashlib.sha256(serialize_system(system).encode()).hexdigest()
+
+
+def test_worked_ambiguous_spec_text_is_pinned(systems_one_simple,
+                                              corpus_systems):
+    # The ambiguous text is the builder's output alone, so a change to the
+    # builder shows up here even where disambiguation would hide it.
+    pinned = {
+        "W": "7050ef6946be070177f2d04105f6402ef973c3ffb2b366e1f1153667d241d144",
+        "L1": "99e0aa7028029c983ada576b7e5b20f4248ab41bcb5c32a793f7cd5f734dae07",
+        "L2": "6f919641949f649aa56c6c4329f3212e8270c984928d1c9013f9adce2f0f65e7",
+        "L3": "a59582317be0db2e004eaed698a579518f6a580b6ab279db2c6761bf822f1561",
+        "L4": "e316a61b8594b0f2a43dbeff50744be88e885fecc69bcd1488a28fa335397d4b",
+        "B1": "12b2384809a4679ff115bf6996ebfc1a9e0277cf24ea05a1a53e1b187e4e012f",
+        "B2": "1d96427e86520d2cd7507d4d3f6245c89db3689fb84ab7788b7b91e5fcb9f77c",
+        "B3": "dfde085b78ac17a1c0171f6883ad8d230dec1a25fb6e25c5485144b6c85ff915",
+        "B4": "0d75276db2fca67d41b3eff5faa27f30d1395def47df136c0bfab0bc115554cf",
+    }
+    digests = {"W": _digest(systems_one_simple[0])}
+    digests.update((name, _digest(amb))
+                   for name, (amb, _) in corpus_systems.items())
+    assert digests == pinned
+
+
+def test_many_simples_spec_texts_are_pinned():
+    # Av(321, 12345) is finite with 58 simples, and its build pushes 43,853
+    # embeddings, far more than any corpus base: both texts.
+    basis = (pc("321"), pc("12345"))
+    result = compute_simples(basis)
+    assert result.complete and len(result.simples) == 58
+    amb = ambiguous_system(class_input(basis, result.simples))
+    assert (_digest(amb), _digest(disambiguate_system(amb))) == (
+        "03d656eb4d561c4396185cd9fdc47c1d68889e46edfd390fbc44a55d2dfb88dc",
+        "2404d1f5657743c62dc817110d8d0a73efd13dd19e2fe7053ecba648cff6040b")

@@ -146,13 +146,12 @@ def test_alternations_seed_a_class_without_simples_of_size_5():
     assert result.status == "truncated at 12"
 
 
-L3 = ("1423", "2431", "4123", "24153", "51432")
 REFERENCE_BASES = {
     "W": (BASIS_ONE_SIMPLE, DEFAULT_SIMPLES_CAP),
     "Sep": (BASIS_SEPARABLE, DEFAULT_SIMPLES_CAP),
     **{name: (tuple(pc(b) for b in CORPUS[name]), DEFAULT_SIMPLES_CAP)
        for name in ("L1", "B1", "B2", "B3", "B4")},
-    "L3": (tuple(pc(b) for b in L3), DEFAULT_SIMPLES_CAP),
+    "L3": (tuple(pc(b) for b in CORPUS["L3"]), DEFAULT_SIMPLES_CAP),
     "Av123": ((pc("123"),), 9),
     "Av321": ((pc("321"),), 9),
     "Av2413": ((pc("2413"),), 9),
