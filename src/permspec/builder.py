@@ -92,9 +92,9 @@ def class_input(basis: Iterable[Perm], simples: Iterable[Perm]) -> ClassInput:
 
 def closure_terms(flavor: str, simples: Sequence[Perm]) -> list[Term]:
     """The unconstrained right-side terms describing one closure flavor."""
-    full = Restriction(FLAVOR_ALL)
-    plus = Restriction(FLAVOR_SUM_INDEC)
-    minus = Restriction(FLAVOR_SKEW_INDEC)
+    full = _interned(FLAVOR_ALL, 0, 0)
+    plus = _interned(FLAVOR_SUM_INDEC, 0, 0)
+    minus = _interned(FLAVOR_SKEW_INDEC, 0, 0)
     terms = []
     if flavor != FLAVOR_SUM_INDEC:
         terms.append(Term(ROOT_12, (plus, full)))
@@ -112,7 +112,7 @@ def closure_system(simples: Iterable[Perm]) -> System:
     result is already a combinatorial specification.
     """
     simples_t = class_input((), simples).simples
-    root = Restriction(FLAVOR_ALL)
+    root = _interned(FLAVOR_ALL, 0, 0)
     equations = close(root, lambda lhs: make_equation(
         lhs, True, closure_terms(lhs.flavor, simples_t)))
     return System(root=root, equations=equations, basis=(),

@@ -116,9 +116,6 @@ class CountTable:
         """``tables[i][r]``: ways components i.. sum to total size r."""
         return self._suffixes[term]
 
-    def term_count(self, term: Term, n: int) -> int:
-        return self.suffix_tables(term)[0][n]
-
 
 def count_coefficients(system: System, depth: int = DEFAULT_COUNT_DEPTH) -> CountTable:
     """Exact membership counts per nonterminal for sizes 1..depth."""

@@ -291,29 +291,40 @@ class DecompTree:
     children: tuple["DecompTree", ...] = ()
 
 
-def recurse(gen):
-    """The value of a recursion written as generators, on an explicit stack.
+def preorder(top, split) -> list:
+    """The nodes of a tree in preorder, each as ``split(node)``: its label
+    and its children, none at a leaf.  The walk keeps its own stack, so a
+    tree may nest as deep as a permutation's size, past any recursion limit.
 
-    A generator asks for a sub-result by yielding the generator that
-    computes it and receives the value back from its ``yield`` (or hands
-    over to it with ``yield from``); its return value is its own result.
-    Sub-results are computed in the order they are asked for.  Trees of
-    permutations nest as deep as the size (the identity, say), past any
-    recursion limit.
+    >>> [root for root, _ in preorder(Perm((2, 1, 3)), top_split)]
+    ['12', '21', None, None, None]
     """
-    stack = [gen]
-    value = None
-    while True:
-        try:
-            child = stack[-1].send(value)
-        except StopIteration as stop:
-            stack.pop()
-            if not stack:
-                return stop.value
-            value = stop.value
+    shape = []
+    stack = [top]
+    while stack:
+        shape.append(split(stack.pop()))
+        stack.extend(reversed(shape[-1][1]))
+    return shape
+
+
+def fold(shape: list, node, leaf):
+    """The value of a tree given by its preorder entries (label, children,
+    ...): ``leaf`` where there are no children, else ``node(label, parts)``
+    on the children's values.  Folds from the end, first part on top.
+
+    >>> fold(preorder(Perm((2, 1, 3)), top_split),
+    ...      lambda root, parts: root + "[" + ",".join(parts) + "]", "1")
+    '12[21[1,1],1]'
+    """
+    stack = []
+    for entry in reversed(shape):
+        if k := len(entry[1]):
+            parts = stack[:-k - 1:-1]
+            del stack[-k:]
+            stack.append(node(entry[0], parts))
         else:
-            stack.append(child)
-            value = None
+            stack.append(leaf)
+    return stack[0]
 
 
 def decompose(perm: Perm) -> DecompTree:
@@ -322,38 +333,22 @@ def decompose(perm: Perm) -> DecompTree:
     First children of 12 (resp. 21) nodes are never themselves 12 (resp. 21)
     rooted, and ``rebuild(decompose(perm)) == perm``.
     """
-    def tree(p):
-        root, parts = top_split(p)
-        kids = []
-        for q in parts:
-            kids.append((yield tree(q)))
-        return DecompTree(root, tuple(kids))
-    return recurse(tree(perm))
+    return fold(preorder(perm, top_split),
+                lambda root, kids: DecompTree(root, tuple(kids)), DecompTree(None))
 
 
 def rebuild(tree: DecompTree) -> Perm:
     """Reassemble the permutation a decomposition tree describes."""
-    def build(t):
-        if t.root is None:
-            return Perm((1,))
-        parts = []
-        for c in t.children:
-            parts.append((yield build(c)))
-        return substitute(root_perm(t.root), parts)
-    return recurse(build(tree))
+    return fold(preorder(tree, lambda t: (t.root, t.children)),
+                lambda root, parts: substitute(root_perm(root), parts), Perm((1,)))
 
 
 def tree_text(tree: DecompTree) -> str:
     """Compact display form, e.g. ``"2413[1,1,1,1]"`` (sizes <= 9 only)."""
-    def text(t):
-        if t.root is None:
-            return "1"
-        label = t.root if isinstance(t.root, str) else "".join(map(str, t.root))
-        parts = []
-        for c in t.children:
-            parts.append((yield text(c)))
+    def text(root, parts):
+        label = root if isinstance(root, str) else "".join(map(str, root))
         return label + "[" + ",".join(parts) + "]"
-    return recurse(text(tree))
+    return fold(preorder(tree, lambda t: (t.root, t.children)), text, "1")
 
 
 def root_perm(root: str | Perm) -> Perm:
@@ -370,13 +365,8 @@ def root_perm(root: str | Perm) -> Perm:
 @lru_cache(maxsize=None)
 def tree_labels(perm: Perm) -> frozenset:
     """The set of internal node labels in a permutation's decomposition tree."""
-    def labels(p):
-        root, parts = top_split(p)
-        out = set() if root is None else {root}
-        for q in parts:
-            out |= yield labels(q)
-        return out
-    return frozenset(recurse(labels(perm)))
+    return frozenset(root for root, _ in preorder(perm, top_split)
+                     if root is not None)
 
 
 def indecomposability(perm: Perm) -> tuple[bool, bool]:

@@ -1,23 +1,24 @@
 """Uniform random generation from a combinatorial specification.
 
-Exact-size sampling walks the specification with choices weighted by the
-exact coefficient tables (the recursive method): pick the atom or a term
-with probability proportional to its count at the current size, split the
-size across a term's components by sequential convolution weights,
-recurse, and assemble with substitution.  The weights are read from the
-count engine's suffix rows (``CountTable.suffix_tables``), which counting
-fills anyway, so the sampler builds no table of its own.  The result is
-exactly uniform over the class members of the requested size.
+Exact-size sampling is the recursive method (Flajolet, Zimmermann and Van
+Cutsem, "A calculus for the random generation of labelled combinatorial
+structures", TCS 1994): pick the atom or a term with probability
+proportional to its count at the current size, split the size across a
+term's components by sequential convolution weights, and go on into each
+component.  The weights are read from the count engine's suffix rows
+(``CountTable.suffix_tables``), which counting fills anyway, so the
+sampler builds no table of its own.  The result is exactly uniform over
+the class members of the requested size.
 
 Size-randomized (Boltzmann) sampling replaces the counts by numeric
 series values at a parameter z inside the radius of convergence; the
 values are obtained by monotone fixpoint iteration from zero, which is
 valid because the system is positive.  Conditioned on its size the output
 is uniform, so rejection against a size window keeps uniformity.  A draw
-picks its terms (its shape) from per-z weight tables, and only a shape
-whose size falls in the window is built: anticipated rejection (Duchon,
-Flajolet, Louchard and Schaeffer 2004).  Only the exact sampler runs on
-``perms.recurse``; both draw members of any nesting depth.
+picks its terms from per-z weight tables, and only a draw whose size falls
+in the window is built: anticipated rejection (Duchon, Flajolet, Louchard
+and Schaeffer 2004).  Both samplers draw their choices in preorder, on a
+stack, and ``perms.fold`` builds them, so members may nest to any depth.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .perms import InvalidInputError, Perm, recurse, root_perm, substitute
-from .restrictions import Restriction, System, Term
+from .perms import InvalidInputError, Perm, fold, root_perm, substitute
+from .restrictions import Restriction, System
 from .engine import CountTable
 
 NUMERIC_TOLERANCE = 1e-12
@@ -65,10 +66,22 @@ class SamplerState:
     def __post_init__(self):
         if self.target is None:
             self.target = self.system.root
-        if self.target not in self.system.equations:
+        position = {r: i for i, r in enumerate(self.system.equations)}
+        if self.target not in position:
             raise ValueError(f"no equation for target {self.target}")
+        self._start = position[self.target]
         self.rng = random.Random(self.seed)
         self._tables: dict[float, list] = {}
+        # Per equation: its count row and its choices as (root, component
+        # positions, suffix rows), an atom first with one member of size 1.
+        self._index = None
+        if self.table is not None:
+            atom = (Perm((1,)), (), [[0, 1] + [0] * (self.table.depth - 1)])
+            self._index = [
+                (self.table.counts[r], [atom] * eq.has_atom + [
+                    (root_perm(t.root), tuple(position[c] for c in t.args),
+                     self.table.suffix_tables(t)) for t in eq.terms])
+                for r, eq in self.system.equations.items()]
 
 
 def sample_exact(state: SamplerState, n: int) -> Perm:
@@ -79,46 +92,50 @@ def sample_exact(state: SamplerState, n: int) -> Perm:
         raise ValueError(f"size {n} outside table depth {state.table.depth}")
     if state.table.count(state.target, n) == 0:
         raise EmptySizeClassError(f"no member of size {n} in {state.target}")
-    return recurse(_draw(state, state.target, n))
+    return fold(_exact_shape(state, n), substitute, Perm((1,)))
 
 
-def _draw(state: SamplerState, r: Restriction, n: int):
-    eq = state.system.equations[r]
-    u = state.rng.randrange(state.table.count(r, n))
-    if eq.has_atom and n == 1:
-        if u < 1:
-            return Perm((1,))
-        u -= 1
-    for term in eq.terms:
-        w = state.table.term_count(term, n)
-        if u < w:
-            return (yield from _draw_term(state, term, n))
-        u -= w
-    raise AssertionError(f"inconsistent counts for {r} at size {n}")
+def _exact_shape(state: SamplerState, n: int) -> list:
+    """One exact draw's choices in preorder.
 
-
-def _draw_term(state: SamplerState, term: Term, n: int):
-    suffix = state.table.suffix_tables(term)
-    k = len(term.args)
-    parts: list[Perm] = []
-    remaining = n
-    for i, comp in enumerate(term.args):
-        if i == k - 1:
-            size = remaining
-        else:
-            u = state.rng.randrange(suffix[i][remaining])
-            comp_counts = state.table.counts[comp]
-            for m in range(1, remaining - (k - 1 - i) + 1):
-                w = comp_counts[m] * suffix[i + 1][remaining - m]
+    The stack holds continuations (choice, next component, size left), the
+    first a one-component choice of the target.  Each draws the component's
+    size, leaves the next continuation under it, and picks the component's
+    choice by count, so a child's whole subtree is drawn before the next
+    component's size.
+    """
+    randrange = state.rng.randrange
+    index = state._index
+    shape = []
+    stack = [((None, (state._start,), None), 0, n)]
+    while stack:
+        choice, i, left = stack.pop()
+        _, comps, suffix = choice
+        n = left
+        if i < len(comps) - 1:
+            u = randrange(suffix[i][left])
+            counts, rest = index[comps[i]][0], suffix[i + 1]
+            for n in range(1, left - len(comps) + i + 2):
+                w = counts[n] * rest[left - n]
                 if u < w:
-                    size = m
                     break
                 u -= w
             else:
                 raise AssertionError("inconsistent suffix tables")
-        parts.append((yield _draw(state, comp, size)))
-        remaining -= size
-    return substitute(root_perm(term.root), parts)
+            stack.append((choice, i + 1, left - n))
+        counts, choices = index[comps[i]]
+        u = randrange(counts[n])
+        for choice in choices:
+            w = choice[2][0][n]
+            if u < w:
+                break
+            u -= w
+        else:
+            raise AssertionError(f"inconsistent counts at size {n}")
+        shape.append(choice)
+        if choice[1]:
+            stack.append((choice, 0, n))
+    return shape
 
 
 def evaluate_series(system: System, z: float,
@@ -131,7 +148,7 @@ def evaluate_series(system: System, z: float,
     the relative change fails to drop below the tolerance in the iteration
     budget.
     """
-    if z <= 0:
+    if not z > 0:  # NaN included
         raise InvalidInputError("z must be positive")
     values = {r: 0.0 for r in system.equations}
     for _ in range(max_iterations):
@@ -157,10 +174,10 @@ def evaluate_series(system: System, z: float,
 
 
 def check_boltzmann_options(z: float, window: tuple[int, int]) -> None:
-    """Reject a size window other than 1 <= lo <= hi, and a z <= 0."""
+    """Reject a size window other than 1 <= lo <= hi, and a z not > 0."""
     if not (1 <= window[0] <= window[1]):
         raise InvalidInputError(f"bad size window: {window}")
-    if z <= 0:
+    if not z > 0:
         raise InvalidInputError("z must be positive")
 
 
@@ -181,11 +198,10 @@ def sample_boltzmann(state: SamplerState, z: float,
         state._tables[key] = _weight_table(
             state.system, evaluate_series(state.system, key), key)
     table = state._tables[key]
-    start = list(state.system.equations).index(state.target)
     for _ in range(budget):
-        shape = _draw_shape(state.rng.random, table, start, lo, hi)
+        shape = _draw_shape(state.rng.random, table, state._start, lo, hi)
         if shape is not None:
-            return _build(shape)
+            return fold(shape, substitute, Perm((1,)))
     raise RejectionBudgetError(
         f"no size in [{lo}, {hi}] after {budget} draws at z={z}")
 
@@ -232,13 +248,3 @@ def _draw_shape(random, table: list, start: int, lo: int, hi: int):
             atoms += 1
     return shape if atoms >= lo else None
 
-
-def _build(shape: list) -> Perm:
-    """Fold a preorder shape from its end; a term's first part is on top."""
-    stack: list[Perm] = []
-    for root, comps, _ in reversed(shape):
-        cut = len(stack) - len(comps)
-        parts = stack[cut:][::-1]
-        del stack[cut:]
-        stack.append(substitute(root, parts) if comps else root)
-    return stack[0]

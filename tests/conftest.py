@@ -78,6 +78,33 @@ def scan_avoiders(basis, n: int) -> list[Perm]:
     return [p for p in perms_of_size(n) if avoids(p, patterns)]
 
 
+# --- the generator driver that preorder shapes and ``perms.fold`` replaced ---
+
+def recurse(gen):
+    """The value of a recursion written as generators, on an explicit stack.
+
+    A generator asks for a sub-result by yielding the generator that
+    computes it and receives the value back from its ``yield`` (or hands
+    over to it with ``yield from``); its return value is its own result.
+    Sub-results are computed in the order they are asked for: how the
+    decomposition trees and the exact sampler once nested past any
+    recursion limit.
+    """
+    stack = [gen]
+    value = None
+    while True:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as stop:
+            stack.pop()
+            if not stack:
+                return stop.value
+            value = stop.value
+        else:
+            stack.append(child)
+            value = None
+
+
 # --- the pattern_of routes that the slot search and offsets replaced ---------
 
 def cut_embeddings(embedded: Perm, host: Perm) -> tuple[Embedding, ...]:

@@ -26,7 +26,8 @@ from permspec import (
 )
 from permspec.perms import (ROOT_12, ROOT_21, embedding_parts, embeddings,
                             perm_key, root_perm)
-from permspec.restrictions import _number, prune_subsumed, term_key
+from permspec.restrictions import (_interned, _number, prune_subsumed,
+                                   term_key)
 
 from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
                       _pipeline, add_mandatory_reference, pc, perms_of_size,
@@ -67,6 +68,23 @@ def test_closure_system_gains_one_term_per_simple():
     assert Term(pc("2413"), (CA(),) * 4) in eq.terms
     assert Term(pc("3142"), (CA(),) * 4) in eq.terms
     assert len(eq.terms) == 4
+
+
+def test_closure_components_are_the_interned_restrictions():
+    # Unconstrained closure components are the interned objects, not equal
+    # copies, so dict lookups on them take the identity fast path.
+    simples = (pc("2413"), pc("3142"))
+    interned = {f: _interned(f, 0, 0)
+                for f in (FLAVOR_ALL, FLAVOR_SUM_INDEC, FLAVOR_SKEW_INDEC)}
+    system = closure_system(simples)
+    assert system.root is interned[FLAVOR_ALL]
+    for flavor in interned:
+        for terms in (builder.closure_terms(flavor, simples),
+                      system.equations[interned[flavor]].terms):
+            for t in terms:
+                assert all(c is interned[c.flavor] for c in t.args), t
+    eq = builder.restriction_equation(CA(), simples)
+    assert all(c is interned[c.flavor] for t in eq.terms for c in t.args)
 
 
 def test_closure_system_rejects_non_simple():

@@ -185,6 +185,7 @@ def test_sample_rejects_boltzmann_options_before_building(
     cases = {
         ("--z", "-1"): "z must be positive",
         ("--z", "0"): "z must be positive",
+        ("--z", "nan"): "z must be positive",
         ("--z", "0.2", "--window", "5:3"): "bad size window: (5, 3)",
         ("--z", "0.2", "--window", "0:3"): "bad size window: (0, 3)",
         (): "the boltzmann method needs --z",

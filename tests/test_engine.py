@@ -89,7 +89,7 @@ def test_suffix_tables_agree_with_counts(systems_one_simple):
     for lhs, eq in disjoint.equations.items():
         for n in range(1, 8):
             total = (1 if (eq.has_atom and n == 1) else 0) + \
-                sum(table.term_count(t, n) for t in eq.terms)
+                sum(table.suffix_tables(t)[0][n] for t in eq.terms)
             assert total == table.count(lhs, n)
 
 

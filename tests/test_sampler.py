@@ -2,6 +2,7 @@
 size-randomized sampler's numeric oracle."""
 
 import hashlib
+import math
 from collections import Counter
 
 import pytest
@@ -23,9 +24,9 @@ from permspec import (
     sample_exact,
 )
 from permspec import sampler
-from permspec.perms import avoids, recurse, root_perm, substitute
+from permspec.perms import InvalidInputError, avoids, root_perm, substitute
 
-from conftest import BASIS_132, BASIS_ONE_SIMPLE, pc
+from conftest import BASIS_132, BASIS_ONE_SIMPLE, pc, recurse
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,19 @@ def test_series_divergence_is_reported(sampler_132):
         evaluate_series(disjoint, 0.5)
 
 
+def test_z_not_above_zero_is_invalid_input(sampler_132):
+    # NaN compares false both ways: a "z <= 0" check lets it through, and
+    # the fixpoint then returns all-NaN values as converged.
+    disjoint, table = sampler_132
+    state = SamplerState(disjoint, table, seed=0)
+    for z in (math.nan, 0.0, -0.1):
+        for call in (lambda: evaluate_series(disjoint, z),
+                     lambda: sampler.check_boltzmann_options(z, (1, 3)),
+                     lambda: sample_boltzmann(state, z, (1, 3))):
+            with pytest.raises(InvalidInputError, match="z must be positive"):
+                call()
+
+
 def test_boltzmann_conditioned_on_size_is_uniform(sampler_132):
     disjoint, table = sampler_132
     state = SamplerState(disjoint, table, seed=17)
@@ -227,6 +241,80 @@ def test_boltzmann_state_needs_no_count_table(systems_one_simple):
         [sample_boltzmann(full, 0.19, (10, 40)) for _ in range(5)]
     with pytest.raises(ValueError, match="needs a count table"):
         sample_exact(bare, 5)
+
+
+def test_exact_deep_chain_needs_no_recursion():
+    # Av(21) holds only identities, whose trees nest as deep as the size.
+    disjoint = disambiguate_system(
+        ambiguous_system(class_input([pc("21")], [])))
+    state = SamplerState(disjoint, count_coefficients(disjoint, 2000), seed=4)
+    assert sample_exact(state, 2000) == Perm(tuple(range(1, 2001)))
+
+
+# --- exact draws against the recursive sampler they replaced ---------------
+
+def recursive_reference(state, n):
+    """The earlier exact sampler, kept as a reference: generators on
+    ``recurse``, one per equation visit and one per term, drawing from
+    ``state.rng`` and building each term by ``substitute``."""
+    table = state.table
+
+    def draw(r, n):
+        eq = state.system.equations[r]
+        u = state.rng.randrange(table.count(r, n))
+        if eq.has_atom and n == 1:
+            if u < 1:
+                return Perm((1,))
+            u -= 1
+        for term in eq.terms:
+            w = table.suffix_tables(term)[0][n]
+            if u < w:
+                return (yield from draw_term(term, n))
+            u -= w
+        raise AssertionError(f"inconsistent counts for {r} at size {n}")
+
+    def draw_term(term, n):
+        suffix = table.suffix_tables(term)
+        k = len(term.args)
+        parts = []
+        remaining = n
+        for i, comp in enumerate(term.args):
+            if i == k - 1:
+                size = remaining
+            else:
+                u = state.rng.randrange(suffix[i][remaining])
+                comp_counts = table.counts[comp]
+                for m in range(1, remaining - (k - 1 - i) + 1):
+                    w = comp_counts[m] * suffix[i + 1][remaining - m]
+                    if u < w:
+                        size = m
+                        break
+                    u -= w
+                else:
+                    raise AssertionError("inconsistent suffix tables")
+            parts.append((yield draw(comp, size)))
+            remaining -= size
+        return substitute(root_perm(term.root), parts)
+
+    return recurse(draw(state.target, n))
+
+
+# (basis, n) of every exact stream the benchmark draws.
+EXACT_STREAMS = [("W", 150), ("W", 30), ("L1", 30), ("L3", 30), ("B1", 30),
+                 ("B4", 30)]
+
+
+@pytest.mark.parametrize("name, n", EXACT_STREAMS)
+def test_exact_streams_match_recursive_reference(stream_systems, name, n):
+    system = stream_systems[name]
+    table = count_coefficients(system, n)
+    for seed in range(5):
+        new = SamplerState(system, table, seed=seed)
+        old = SamplerState(system, table, seed=seed)
+        assert [sample_exact(new, n) for _ in range(10)] == \
+            [recursive_reference(old, n) for _ in range(10)], seed
+        # The same random calls, in the same order.
+        assert new.rng.getstate() == old.rng.getstate(), seed
 
 
 # --- Boltzmann draws against the per-visit sampler they replaced ------------
