@@ -5,13 +5,13 @@ membership of concrete permutations, so a passing report means the
 equations describe exactly the sets they claim to.  Used by the command
 line ``check`` subcommand and by the test suite.  Memberships are those of
 ``in_restriction`` and ``rhs_multiplicity``, decided on profiles.  One walk
-of ``pattern_masks`` gives every permutation up to the size as a ``bytes``
-key with its pattern bits from its one-point deletions; the key's parts,
-cut by ``split_blocks``, give their profiles by key.  Rows with one
-signature (profile, root, arity and parts' packed profiles, per simples
-set) share one tally and one verdict, and a ``Perm`` is built only to
-name a violation.  The basis has profile bits too, so ``run_check``'s
-walk also counts the avoiders of each size.
+of ``pattern_masks`` grows a class that holds Av(basis) and every member
+and summand, one point a size, as ``bytes`` keys with their pattern bits
+from their one-point deletions; a key's parts, cut by ``split_blocks``,
+give their profiles by key.  Rows with one signature (profile, root, arity
+and parts' packed profiles, per simples set) share one tally and one
+verdict, and a ``Perm`` is built only to name a violation.  The basis has
+profile bits too, so ``run_check``'s walk also counts the avoiders.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import itertools
 from typing import Iterable, Sequence
 
 from .perms import (DEFAULT_ORACLE_CAP, InvalidInputError, Perm, ROOT_12,
-                    ROOT_21, enumerate_avoiders, pattern_masks, split_blocks)
+                    ROOT_21, enumerate_avoiders, is_simple, pattern_masks,
+                    pattern_of, split_blocks)
 from .restrictions import (FLAVOR_SKEW_INDEC, FLAVOR_SUM_INDEC, MODE_DISJOINT,
                            Restriction, System)
 from .engine import count_coefficients
@@ -31,14 +32,13 @@ _FORBIDDEN = {FLAVOR_SUM_INDEC: SUM_DEC, FLAVOR_SKEW_INDEC: SKEW_DEC}
 _DECOMPOSED = {ROOT_12: SUM_DEC, ROOT_21: SKEW_DEC}
 
 
-# The walk uses neither ``perms_of_size`` nor ``enumerate_avoiders``;
-# perfbench/tracer.py rebinds both names here.
+# perfbench/tracer.py rebinds this and enumerate_avoiders; the walk uses neither.
 def perms_of_size(n: int) -> tuple[Perm, ...]:
     return tuple(Perm(v) for v in itertools.permutations(range(1, n + 1)))
 
 
 def check_max_size(max_size: int) -> None:
-    """Reject sizes outside 1..DEFAULT_ORACLE_CAP (size n walks n! perms)."""
+    """Reject sizes outside 1..DEFAULT_ORACLE_CAP (size n holds up to n!)."""
     if not 1 <= max_size <= DEFAULT_ORACLE_CAP:
         raise InvalidInputError("depth must be >= 1" if max_size < 1 else
                                 f"oracle size {max_size} exceeds cap "
@@ -51,9 +51,10 @@ class Profiles:
     A profile is an int: ``IN_CLOSURE`` when every tree label is 12, 21 or
     a listed simple, ``SUM_DEC``/``SKEW_DEC`` by the top split, and one bit
     per pattern p contains, by ``pattern_masks``: the systems' restriction
-    patterns and the basis.  Profiles are kept by ``bytes`` key, one table
-    per simples set.  A restriction compiles to (forbidden, needed) masks,
-    and a term to the same masks over the packed profiles of p's parts.
+    patterns and the basis.  A walk keeps profiles by ``bytes`` key, one
+    table per simples set.  A restriction compiles to (forbidden, needed)
+    masks, and a term to the same masks over the packed profiles of p's
+    parts.
     """
 
     def __init__(self, systems: Iterable[System], basis: Iterable[Perm] = ()):
@@ -64,7 +65,6 @@ class Profiles:
                             for q in r.avoid + r.contain}
         self._bit = {q: 8 << i for i, q in enumerate(sorted(patterns, key=len))}
         self._width = 3 + len(self._bit)
-        self._splits: dict[frozenset, dict] = {}
         self.basis_mask = sum(self._bit[q] for q in basis)
 
     def test(self, r: Restriction) -> tuple[int, int]:
@@ -92,25 +92,28 @@ class Profiles:
 
     def tallies(self, systems: list[System], max_size: int):
         """(key, mask, signature, profs, counts) for every p up to max_size
+        in Av(basis) or (given systems) the closure of ``_closure_roots``,
         in walk order: key is bytes(p) and mask its pattern bits; profs per
         system p's profile and counts per system and equation the number of
         right-side summands holding p (the atom counts as one).  Rows of
         one signature share profs and counts, tallied once."""
         check_max_size(max_size)
         sides = [self._right_sides(system) for system in systems]
-        sets = list(dict.fromkeys(simples for simples, _, _ in sides))
-        tables = [self._splits.setdefault(simples, {}) for simples in sets]
-        which = [sets.index(simples) for simples, _, _ in sides]
+        roots = _closure_roots(systems)  # entry 0 of every signature
+        tables = {s: {} for s in [roots, *(simples for simples, _, _ in sides)]}
+        which = [list(tables).index(simples) for simples, _, _ in sides]
+        closure_bit = IN_CLOSURE if systems else 0  # else Av(basis) alone
         lower = [bytes((v - d) % 256 for v in range(256))
                  for d in range(max_size)]  # lower[d] takes v to v - d
         rows: dict[tuple, tuple] = {}
-        for key, mask in pattern_masks(self._bit, max_size):
+
+        def row(key: bytes, mask: int):
             root, blocks = split_blocks(key)
             parts = [key[s:s + m].translate(lower[low - 1])
                      for s, m, low in blocks]
             flags = mask | _DECOMPOSED.get(root, 0)
             signature = []
-            for simples, table in zip(sets, tables):
+            for simples, table in tables.items():
                 subs = [table[q][0] for q in parts]
                 closed = (root in (None, ROOT_12, ROOT_21) or root in simples) \
                     and all(q & IN_CLOSURE for q in subs)
@@ -119,10 +122,12 @@ class Profiles:
                 if len(key) < max_size:
                     table[key] = entry
                 signature.append(entry)
+            if mask & self.basis_mask and not signature[0][0] & closure_bit:
+                return None
             signature = tuple(signature)
-            row = rows.get(signature)
-            if row is None:
-                row = rows[signature] = ([], [])
+            tally = rows.get(signature)
+            if tally is None:
+                tally = rows[signature] = ([], [])
                 for w, (_, index, atoms) in zip(which, sides):
                     prof, shape, packed = signature[w]
                     mults = atoms[:] if root is None else [0] * len(atoms)
@@ -130,9 +135,23 @@ class Profiles:
                         if not packed & forbidden and \
                                 packed & needed == needed:
                             mults[i] += 1
-                    row[0].append(prof)
-                    row[1].append(mults)
-            yield key, mask, signature, *row
+                    tally[0].append(prof)
+                    tally[1].append(mults)
+            return key, mask, signature, *tally
+        return pattern_masks(self._bit, max_size, row)
+
+
+def _closure_roots(systems: list[System]) -> frozenset:
+    """The systems' simples and term roots and their simple patterns, found
+    one or two points apart (Schmerl and Trotter 1993): a class's roots."""
+    roots, todo = set(), [r for s in systems for eq in s.equations.values()
+                          for r in (*s.simples, *(t.root for t in eq.terms))]
+    while todo:
+        if isinstance(tau := todo.pop(), Perm) and tau not in roots:
+            roots.add(tau)
+            todo += filter(is_simple, map(pattern_of, itertools.chain(
+                *(itertools.combinations(tau, len(tau) - k) for k in (1, 2)))))
+    return frozenset(roots)
 
 
 def _membership_check(system: System, profiles: Profiles, k: int):
@@ -187,18 +206,17 @@ def _walk(profiles: Profiles, systems: list[System], checks, max_size: int):
     return found, avoiders
 
 
-def equation_violations(system: System, max_size: int,
-                        profiles: Profiles | None = None) -> list[str]:
+def equation_violations(system: System, max_size: int) -> list[str]:
     """Left side vs right side, per equation, on every permutation."""
-    profiles = profiles or Profiles([system])
+    profiles = Profiles([system])
     check = _membership_check(system, profiles, 0)
     return _walk(profiles, [system], [check], max_size)[0][0]
 
 
-def conservation_violations(before: System, after: System, max_size: int,
-                            profiles: Profiles | None = None) -> list[str]:
+def conservation_violations(before: System, after: System,
+                            max_size: int) -> list[str]:
     """Right-side membership unchanged for every equation both systems share."""
-    profiles = profiles or Profiles([before, after])
+    profiles = Profiles([before, after])
     check = _conservation_check(before, after)
     return _walk(profiles, [before, after], [check], max_size)[0][0]
 
@@ -208,18 +226,15 @@ def count_violations(system: System, basis: Sequence[Perm], max_size: int,
     """Root coefficients vs brute-force enumeration of the avoidance class.
 
     ``avoiders[n]`` is the number of size-n avoiders when a walk has
-    counted them already; otherwise one ``pattern_masks`` walk counts them.
+    counted them already; otherwise one walk of Av(basis) alone counts them.
     """
     check_max_size(max_size)
     if avoiders is None:
         avoiders = _walk(Profiles([], basis), [], (), max_size)[1]
     table = count_coefficients(system, max_size)
-    out = []
-    for n in range(1, max_size + 1):
-        got, want = table.root_count(n), avoiders[n]
-        if got != want:
-            out.append(f"size {n}: engine {got}, enumeration {want}")
-    return out
+    return [f"size {n}: engine {got}, enumeration {avoiders[n]}"
+            for n in range(1, max_size + 1)
+            if (got := table.root_count(n)) != avoiders[n]]
 
 
 def run_check(ambiguous: System, disjoint: System,

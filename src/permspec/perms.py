@@ -442,27 +442,31 @@ def embedding_parts(embedded: Perm, host: Perm) -> tuple[tuple, ...]:
                        if emb.blocks[i][1]) for emb in embeddings(embedded, host))
 
 
-def pattern_masks(bits: dict[Perm, int], max_size: int):
-    """(bytes(p), mask) for each p of size 1..max_size in ``perm_key``
-    order: p's own bit OR its one-point deletions' masks, which is the OR
-    of ``bits[q]`` over all q <= p.  Only the last size's masks are kept.
+def pattern_masks(bits: dict[Perm, int], max_size: int,
+                  keep=lambda key, mask: (key, mask)):
+    """``keep(bytes(p), mask)`` for each p of size 1..max_size in a class
+    (keep gives None outside it), in ``perm_key`` order; mask is the OR of
+    ``bits[q]`` over all q <= p, from p's one-point deletions.  Size n puts
+    n at each position of each key kept at size n - 1, and drops those
+    with a one-point deletion not kept.
 
     >>> [m for _, m in pattern_masks({Perm((1, 2)): 1}, 3)]
     [0, 1, 0, 1, 1, 1, 1, 1, 0]
     """
-    own = {bytes(q): bits[q] for q in bits}
-    level = {b"": 0}
+    own, level = {bytes(q): bits[q] for q in bits}, {b"": 0}
     for n in range(1, max_size + 1):
+        top = bytes((n,))
         cuts = [(bytes((x,)), bytes(v - (v > x) for v in range(256)))
                 for x in range(1, n + 1)]  # drop value x, lower those above
         prev, level = level, {}
-        for key in map(bytes, itertools.permutations(range(1, n + 1))):
+        for key in sorted([k[:i] + top + k[i:] for k in prev for i in range(n)]):
             mask = own.get(key, 0)
-            for one, down in cuts:
-                mask |= prev[key.replace(one, b"").translate(down)]
-            if n < max_size:
-                level[key] = mask
-            yield key, mask
+            for one, down in cuts:  # -1 where a deletion was not kept
+                mask |= prev.get(key.replace(one, b"").translate(down), -1)
+            if mask >= 0 and (kept := keep(key, mask)) is not None:
+                if n < max_size:
+                    level[key] = mask
+                yield kept
 
 
 def enumerate_avoiders(basis: Iterable[Perm], n: int,
@@ -473,5 +477,5 @@ def enumerate_avoiders(basis: Iterable[Perm], n: int,
     """
     if not 1 <= n <= cap:
         raise InvalidInputError(f"oracle size {n} is outside 1..{cap}")
-    masks = pattern_masks(dict.fromkeys(basis, 1), n)
-    return [Perm(key) for key, mask in masks if len(key) == n and not mask]
+    keys = pattern_masks(dict.fromkeys(basis, 1), n, lambda k, m: None if m else k)
+    return [Perm(key) for key in keys if len(key) == n]

@@ -3,6 +3,7 @@ membership route of ``permspec.restrictions`` and the ``contains`` route
 of the pattern bits."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -23,6 +24,7 @@ from permspec.perms import (DEFAULT_ORACLE_CAP, contains, embeddings,
 from permspec.restrictions import (
     MODE_DISJOINT,
     Equation,
+    Term,
     in_restriction,
     in_term,
     rhs_multiplicity,
@@ -82,17 +84,20 @@ def test_run_check_asks_no_containment(oracle_systems):
 
 
 def test_run_check_walks_once(oracle_systems, monkeypatch):
+    # One walk over sizes 1..7 that yields only what can fail or avoids
+    # the basis: on W, fewer than the 5,913 permutations of those sizes.
     walks = []
 
-    def recording(bits, max_size):
-        sizes = set()
+    def recording(bits, max_size, keep):
+        sizes = []
         walks.append((max_size, sizes))
-        for key, mask in pattern_masks(bits, max_size):
-            sizes.add(len(key))
-            yield key, mask
+        for row in pattern_masks(bits, max_size, keep):
+            sizes.append(len(row[0]))
+            yield row
     monkeypatch.setattr(checks, "pattern_masks", recording)
     assert all(ok for _, ok, _ in run_check(*oracle_systems["W"], 7))
-    assert walks == [(7, set(range(1, 8)))]
+    assert [(m, set(sizes)) for m, sizes in walks] == [(7, set(range(1, 8)))]
+    assert len(walks[0][1]) < 5913
 
 
 @pytest.mark.parametrize("name", ["W", "L1", "L3", "B1", "B4"])
@@ -206,9 +211,22 @@ def _lone_term(system, lhs, max_size):
     raise AssertionError(f"every term of {lhs} is covered by the others")
 
 
+def _foreign_root(dis, size):
+    """dis with one more term in its root equation: the root class
+    substituted into the first simple, of the size or larger, that is not
+    among the system's simples."""
+    foreign = next(p for n in itertools.count(size) for p in perms_of_size(n)
+                   if is_simple(p) and p not in dis.simples_set())
+    terms = dis.equations[dis.root].terms
+    return _with_terms(dis, dis.root, terms + (
+        Term(foreign, (dis.root,) * len(foreign)),))
+
+
 def _mutants(amb, dis):
-    """Drop a disjoint term, duplicate one, and drop an ambiguous term that
-    no other term of its equation covers."""
+    """Drop a disjoint term, duplicate one, drop an ambiguous term that no
+    other term of its equation covers, and give the disjoint root one more
+    term, the root class substituted into a simple outside the system's
+    simples."""
     root_terms = dis.equations[dis.root].terms
     amb_terms = amb.equations[amb.root].terms
     lone = _lone_term(amb, amb.root, 6)
@@ -218,7 +236,24 @@ def _mutants(amb, dis):
             dis, dis.root, root_terms + root_terms[:1])),
         "drop ambiguous": (_with_terms(
             amb, amb.root, [t for t in amb_terms if t != lone]), dis),
+        "foreign root": (amb, _foreign_root(dis, 4)),
     }
+
+
+@pytest.mark.parametrize("name, size", [("W", 4), ("W", 5), ("L3", 5)])
+def test_a_foreign_root_fails_partition_and_conservation(
+        oracle_systems, name, size):
+    # The summands lie outside the closure of the simples, so the walk
+    # closes over every term root too.  On W the simple 24153 holds 2413,
+    # which is in W's basis and not among its simples: the walk reaches
+    # 24153 only because its roots are closed under simple patterns.
+    amb, dis = oracle_systems[name]
+    dis = _foreign_root(dis, size)
+    report = run_check(amb, dis, 6)
+    assert report == perm_walk_report(amb, dis, 6)
+    failed = {check for check, ok, _ in report if not ok}
+    assert {"specification partition",
+            "conservation through disambiguation"} <= failed
 
 
 @pytest.mark.parametrize("name", ["W", "B1"])
@@ -235,13 +270,13 @@ def test_mutated_systems_fail_as_the_plain_route_says(oracle_systems, name):
 
 
 def test_count_violations_keeps_the_oracle_cap(systems_132, monkeypatch):
-    # Sizes past DEFAULT_ORACLE_CAP scan tens of millions of permutations;
-    # the count walks once, to the size asked, and never past the cap.
+    # Sizes past DEFAULT_ORACLE_CAP walk millions of permutations; the
+    # count walks once, to the size asked, and never past the cap.
     walks = []
 
-    def recording(bits, max_size):
+    def recording(bits, max_size, keep):
         walks.append(max_size)
-        return pattern_masks(bits, max_size)
+        return pattern_masks(bits, max_size, keep)
     monkeypatch.setattr(checks, "pattern_masks", recording)
     _, dis = systems_132
     assert count_violations(dis, dis.basis, 5) == []

@@ -236,6 +236,19 @@ def test_check_subcommand_passes(basis_file, capsys):
     assert out.count("PASS") == 4 and "FAIL" not in out
 
 
+def test_check_with_too_few_simples_fails_the_count(basis_file, capsys):
+    # With no simples the system describes only the separable members, but
+    # the walk still keeps every avoider of the basis: the count must fail.
+    basis = basis_file(ONE_SIMPLE)
+    empty = basis_file("", name="simples.txt")
+    assert main(["check", "--basis", basis, "--simples", empty,
+                 "--max-size", "7"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:3]] == ["PASS"] * 3
+    assert lines[3:] == ["FAIL  counting equality  [4 violation(s); first: "
+                         "size 4: engine 21, enumeration 22]"]
+
+
 def test_check_size_is_checked_before_building(basis_file, capsys,
                                               monkeypatch):
     # Sizes past the oracle cap would scan tens of millions of permutations.

@@ -32,8 +32,8 @@ from permspec.perms import (ROOT_12, ROOT_21, InvalidInputError,
                             split_blocks, top_split, tree_labels)
 
 from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
-                      contains_mask, cut_embeddings, pc, perms_of_size,
-                      rank_top_split, scan_avoiders)
+                      contains_mask, cut_embeddings, every_pattern_mask, pc,
+                      perms_of_size, rank_top_split, scan_avoiders)
 
 
 # --- pattern containment ---------------------------------------------------
@@ -411,6 +411,21 @@ def test_deletion_masks_match_the_contains_route(patterns, n):
         (bytes(p), contains_mask(p, bits))
         for k in range(1, n + 1) for p in perms_of_size(k)]
     assert enumerate_avoiders(patterns, n) == scan_avoiders(patterns, n)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(PATTERN_LISTS, st.integers(1, 6))
+@example([pc("1")], 4)
+@example([pc("231"), pc("12"), pc("2413")], 6)
+def test_a_class_walk_gives_the_full_walks_rows(patterns, n):
+    # The patterns with bit 1 are the basis of the class walked; the rows
+    # the walk keeps are the n! walk's rows in that class, masks and all.
+    bits = {q: 1 << i % 3 for i, q in enumerate(patterns)}
+
+    def keep(key, mask):
+        return None if mask & 1 else (key, mask)
+    assert list(pattern_masks(bits, n, keep)) == [
+        row for row in every_pattern_mask(bits, n) if not row[1] & 1]
 
 
 # --- values ----------------------------------------------------------------
