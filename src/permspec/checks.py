@@ -208,7 +208,7 @@ def _walk(profiles: Profiles, systems: list[System], checks, max_size: int):
 
 def equation_violations(system: System, max_size: int) -> list[str]:
     """Left side vs right side, per equation, on every permutation."""
-    profiles = Profiles([system])
+    profiles = Profiles([system], system.basis)
     check = _membership_check(system, profiles, 0)
     return _walk(profiles, [system], [check], max_size)[0][0]
 
@@ -216,7 +216,7 @@ def equation_violations(system: System, max_size: int) -> list[str]:
 def conservation_violations(before: System, after: System,
                             max_size: int) -> list[str]:
     """Right-side membership unchanged for every equation both systems share."""
-    profiles = Profiles([before, after])
+    profiles = Profiles([before, after], after.basis)
     check = _conservation_check(before, after)
     return _walk(profiles, [before, after], [check], max_size)[0][0]
 

@@ -90,7 +90,7 @@ def pattern_of(values: Sequence[int]) -> Perm:
 def _neighbours(p: Perm) -> tuple[tuple[int, int], ...]:
     """Per pattern position j, the earlier positions holding the nearest
     smaller and the nearest larger value; -2 and -1 (the two sentinel slots
-    of ``contains``) stand in where there is none."""
+    of ``contains_through``) stand in where there is none."""
     return tuple(
         (max((m for m in range(j) if p[m] < v), key=p.__getitem__, default=-2),
          min((m for m in range(j) if p[m] > v), key=p.__getitem__, default=-1))
@@ -101,27 +101,34 @@ def _neighbours(p: Perm) -> tuple[tuple[int, int], ...]:
 def contains(perm: Perm, pattern: Perm) -> bool:
     """True when some subsequence of perm is order-isomorphic to pattern.
 
-    Backtracking subsequence matcher: pattern positions are matched left
-    to right.  A prefix of the match is order-isomorphic to the pattern's
-    prefix, so a candidate value only has to lie strictly between the
-    values matched to its two neighbours in ``_neighbours``.
-
     >>> contains(Perm.from_text("3 1 6 4 5 2"), Perm.from_text("2 4 3 1"))
     True
     >>> contains(Perm.from_text("3 1 6 4 5 2"), Perm.from_text("2 4 1 3"))
     False
     """
+    return contains_through(perm, pattern, len(perm))
+
+
+def contains_through(perm: Sequence[int], pattern: Perm, pos: int) -> bool:
+    """True when pattern occurs in perm (a ``Perm`` or ``bytes``) at
+    positions that include pos or all lie left of it.  Backtracking: the
+    pattern's positions are matched left to right, none right of pos until
+    pos is matched, each to a value strictly between those matched to its
+    neighbours in ``_neighbours`` (a matched prefix is order-isomorphic to
+    the pattern's)."""
     k, n = len(pattern), len(perm)
     if k > n:
         return False
     bounds = _neighbours(pattern)
     got = [0] * k + [0, n + 1]  # matched values, then the two sentinels
-    start = [0] * k             # where the search for each position resumes
-    j = 0
+    start = [0] * (k + 1)       # where each position's search resumes, then
+    j = 0                       # a 0 that start[j - 1] reads at j = 0
     while j >= 0:
         lo, hi = bounds[j]
         a, b = got[lo], got[hi]
         i, last = start[j], n - k + j
+        if start[j - 1] <= pos < last:  # pos is not matched yet
+            last = pos
         while i <= last and not a < perm[i] < b:
             i += 1
         if i > last:

@@ -269,6 +269,38 @@ def test_mutated_systems_fail_as_the_plain_route_says(oracle_systems, name):
             _plain_conservation_violations(amb, dis, 6), kind
 
 
+@pytest.mark.parametrize("name", ["W", "L1", "L3", "B1", "B4"])
+def test_standalone_checks_match_the_walk_without_basis(oracle_systems, name):
+    # Given the basis, the walk drops the keys outside Av(B) and outside the
+    # closure; none is a member or a summand, so the lists stay the same.
+    def full_walk(systems, check):
+        profiles = Profiles(systems)
+        return checks._walk(profiles, systems, [check(profiles)], 6)[0][0]
+    pairs = {"corpus": oracle_systems[name], **_mutants(*oracle_systems[name])}
+    for kind, (amb, dis) in pairs.items():
+        for system in (amb, dis):
+            assert equation_violations(system, 6) == full_walk(
+                [system], lambda p: checks._membership_check(system, p, 0)), kind
+        assert conservation_violations(amb, dis, 6) == full_walk(
+            [amb, dis], lambda p: checks._conservation_check(amb, dis)), kind
+
+
+def test_standalone_checks_walk_less_than_every_permutation(
+        oracle_systems, monkeypatch):
+    walked = []
+
+    def recording(bits, max_size, keep):
+        walked.append(0)
+        for row in pattern_masks(bits, max_size, keep):
+            walked[-1] += 1
+            yield row
+    monkeypatch.setattr(checks, "pattern_masks", recording)
+    amb, dis = oracle_systems["W"]
+    equation_violations(dis, 7)
+    conservation_violations(amb, dis, 7)
+    assert len(walked) == 2 and max(walked) < 5913, walked
+
+
 def test_count_violations_keeps_the_oracle_cap(systems_132, monkeypatch):
     # Sizes past DEFAULT_ORACLE_CAP walk millions of permutations; the
     # count walks once, to the size asked, and never past the cap.

@@ -1,15 +1,20 @@
 """Simple-permutation search: worked values, oracle equality, stopping rule."""
 
 import itertools
+import json
+import os
+import runpy
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permspec import Perm, compute_simples, is_simple
-from permspec.perms import avoids, perm_key
-from permspec.simples import (DEFAULT_SIMPLES_CAP, SimplesResult,
-                              _one_point_extensions, _parallel_alternations)
+from permspec.cli import main
+from permspec.perms import (avoids, contains, contains_through, pattern_of,
+                            perm_key)
+from permspec.simples import (DEFAULT_SIMPLES_CAP, SimplesResult, _extensions,
+                              _parallel_alternations)
 
 from conftest import (BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS, pc,
                       perms_of_size)
@@ -88,6 +93,43 @@ def test_input_validation():
         compute_simples([pc("132")], cap=5)
 
 
+def _one_point_extensions(p: Perm) -> set[Perm]:
+    """All permutations of size n+1 obtained by inserting one new value."""
+    n = len(p)
+    out = set()
+    for val in range(1, n + 2):
+        lifted = [v + 1 if v >= val else v for v in p]
+        for pos in range(n + 1):
+            out.add(Perm(lifted[:pos] + [val] + lifted[pos:]))
+    return out
+
+
+def one_point_reference(basis, cap=DEFAULT_SIMPLES_CAP) -> SimplesResult:
+    """The earlier search, kept as a reference: every candidate, a one-point
+    extension of a simple avoider one size smaller or a parallel
+    alternation, is a ``Perm`` tested with ``avoids`` and ``is_simple``."""
+    patterns = tuple(sorted(set(basis), key=perm_key))
+
+    def keep(p):
+        return avoids(p, patterns) and is_simple(p)
+
+    seeds = (Perm(v) for v in itertools.permutations(range(1, 5)))
+    levels = {4: {p for p in seeds if keep(p)}}
+    complete = False
+    explored = 4
+    for m in range(5, cap + 1):
+        candidates = _parallel_alternations(m) if m % 2 == 0 else set()
+        for p in levels[m - 1]:
+            candidates |= _one_point_extensions(p)
+        levels[m] = {c for c in candidates if keep(c)}
+        explored = m
+        if not levels[m] and not levels[m - 1]:
+            complete = True
+            break
+    found = sorted((p for level in levels.values() for p in level), key=perm_key)
+    return SimplesResult(tuple(found), complete, explored)
+
+
 def two_point_reference(basis, cap=DEFAULT_SIMPLES_CAP) -> SimplesResult:
     """The earlier search, kept as a reference: candidates of size m are the
     one-point extensions of the simples of size m-1 and the two-point
@@ -164,6 +206,12 @@ def test_matches_two_point_reference(name):
     assert compute_simples(basis, cap) == two_point_reference(basis, cap)
 
 
+@pytest.mark.parametrize("name", REFERENCE_BASES)
+def test_matches_one_point_reference(name):
+    basis, cap = REFERENCE_BASES[name]
+    assert compute_simples(basis, cap) == one_point_reference(basis, cap)
+
+
 PATTERNS = st.integers(3, 5).flatmap(
     lambda n: st.permutations(range(1, n + 1))).map(lambda v: Perm(tuple(v)))
 
@@ -171,4 +219,81 @@ PATTERNS = st.integers(3, 5).flatmap(
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(st.lists(PATTERNS, min_size=1, max_size=3))
 def test_random_bases_match_two_point_reference(basis):
-    assert compute_simples(basis, 8) == two_point_reference(basis, 8)
+    result = compute_simples(basis, 8)
+    assert result == one_point_reference(basis, 8)
+    assert result == two_point_reference(basis, 8)
+
+
+def test_simplicity_rule_on_every_extension_up_to_8():
+    # _extensions decides simplicity by the new point alone.  With a pattern
+    # too large to occur, it keeps every simple one-point extension of the
+    # simples one size smaller, and the alternations.
+    never = (Perm(tuple(range(1, 10))),)
+    simples = {p for p in perms_of_size(4) if is_simple(p)}
+    for m in range(5, 9):
+        extensions = set().union(*map(_one_point_extensions, simples))
+        want = {c for c in extensions if is_simple(c)}
+        want |= _parallel_alternations(m) if m % 2 == 0 else set()
+        got = _extensions({bytes(p) for p in simples}, never, m)
+        assert {Perm(c) for c in got} == want, m
+        simples = want
+    assert len(simples) == 2926  # the simple permutations of size 8
+
+
+def _occurrences(perm, pattern):
+    """Every occurrence of pattern in perm, as a tuple of positions."""
+    return [idx for idx in itertools.combinations(range(len(perm)), len(pattern))
+            if pattern_of([perm[i] for i in idx]) == pattern]
+
+
+def test_contains_through_matches_brute_force_up_to_6():
+    patterns = [p for k in range(1, 5) for p in perms_of_size(k)]
+    for n in range(1, 7):
+        for p in perms_of_size(n):
+            key = bytes(p)
+            for q in patterns:  # pos = n is contains: any occurrence
+                found = _occurrences(p, q)
+                for pos in range(n + 1):
+                    want = any(pos in idx or idx[-1] < pos for idx in found)
+                    assert contains_through(key, q, pos) == want, (p, q, pos)
+
+
+def test_search_leaves_the_caches_nearly_empty():
+    # Extensions are tested uncached, through their new point; only the
+    # size-4 seeds go through the cached is_simple and contains.
+    for cache in (contains, is_simple):
+        cache.cache_clear()
+    compute_simples([pc("123")], 10)
+    assert contains.cache_info().currsize < 100
+    assert is_simple.cache_info().currsize < 100
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _benchmark_simples():
+    """(basis name, basis literals, cap) for each ``permspec simples`` the
+    benchmark workloads run; perfbench/workloads.py is only read."""
+    workloads = runpy.run_path(os.path.join(ROOT, "perfbench", "workloads.py"))
+    runs = {(c.basis, c.cap) for w in workloads["WORKLOADS"].values()
+            for c in w.simples}
+    return [(name, workloads["BASES"][name], cap) for name, cap in sorted(
+        runs, key=lambda run: (run[0], run[1] or 0))]
+
+
+@pytest.mark.parametrize("name, basis, cap", _benchmark_simples())
+def test_benchmark_simples_match_the_pinned_reference(name, basis, cap,
+                                                      tmp_path):
+    with open(os.path.join(ROOT, "perfbench", "reference.json"),
+              encoding="utf-8") as fh:
+        known = json.load(fh)["simples"][name]
+    perms = [p for p in known["perms"]
+             if cap is None or len(p.split()) <= cap]
+    assert known["complete"] or cap <= known["searched_to"]
+    status = "complete" if known["complete"] else f"truncated at {cap}"
+    path, out = tmp_path / "basis.txt", tmp_path / "out.txt"
+    path.write_text("".join(" ".join(b) + "\n" for b in basis))
+    argv = ["simples", "--basis", str(path), "-o", str(out)]
+    code = main(argv + ([] if cap is None else ["--cap", str(cap)]))
+    assert code == (0 if known["complete"] else 2)
+    assert out.read_text().splitlines() == [f"# status: {status}"] + perms
