@@ -31,7 +31,6 @@ from .perms import (
     is_simple,
     minimal_patterns,
     perm_key,
-    root_perm,
 )
 from .restrictions import (
     FLAVOR_ALL,
@@ -156,7 +155,7 @@ def add_constraints(term: Term, patterns: Iterable[Perm]) -> list[Term]:
     out = [term]
     for excluded in pending:
         clauses = [[(slot, 1 << _number(q)) for slot, q in parts] for parts
-                   in embedding_parts(excluded, root_perm(term.root))]
+                   in embedding_parts(excluded, term.root)]
         nxt: set[Term] = set()
         for t in out:
             for prof in _push_avoidance(t.args, clauses):
@@ -177,7 +176,7 @@ def add_mandatory(term: Term, pattern: Perm) -> list[Term]:
     are merged and statically empty summands dropped.
     """
     out = set()
-    for parts in embedding_parts(pattern, root_perm(term.root)):
+    for parts in embedding_parts(pattern, term.root):
         args = list(term.args)
         for slot, q in parts:
             r = args[slot]

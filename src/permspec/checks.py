@@ -147,7 +147,7 @@ def _closure_roots(systems: list[System]) -> frozenset:
     roots, todo = set(), [r for s in systems for eq in s.equations.values()
                           for r in (*s.simples, *(t.root for t in eq.terms))]
     while todo:
-        if isinstance(tau := todo.pop(), Perm) and tau not in roots:
+        if len(tau := todo.pop()) > 2 and tau not in roots:
             roots.add(tau)
             todo += filter(is_simple, map(pattern_of, itertools.chain(
                 *(itertools.combinations(tau, len(tau) - k) for k in (1, 2)))))

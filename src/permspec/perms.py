@@ -20,11 +20,6 @@ from typing import Iterable, Sequence
 
 DEFAULT_ORACLE_CAP = 10
 
-# Roots of linear decomposition nodes.  Simple permutations act as their own
-# root labels; these two string tags cover the non-simple binary cases.
-ROOT_12 = "12"
-ROOT_21 = "21"
-
 
 class InvalidInputError(ValueError):
     """Unparseable or inconsistent user input, including out-of-range
@@ -73,6 +68,11 @@ class Perm(tuple):
 
     def __repr__(self) -> str:
         return f"Perm({tuple.__repr__(self)})"
+
+
+# Roots of linear decomposition nodes; every other root is a simple Perm.
+ROOT_12 = Perm((1, 2))
+ROOT_21 = Perm((2, 1))
 
 
 def perm_key(p: Perm) -> tuple:
@@ -272,16 +272,16 @@ def top_split(perm: Perm):
     """The single top level of the canonical decomposition of a permutation.
 
     Returns ``(root, children)`` where root is None for the size-1
-    permutation, "12" or "21" for a linear split (children are the two
-    parts, the first part suitably indecomposable), or a simple Perm whose
+    permutation, 12 or 21 for a linear split (children are the two parts,
+    the first part suitably indecomposable), or a simple Perm whose
     children are the patterns of its maximal proper blocks.  The parts are
     the blocks of ``split_blocks``; a block's values form an interval, so
     its pattern is its slice less its least value minus one.
 
     >>> top_split(Perm((2, 1, 3, 5, 4)))
-    ('12', (Perm((2, 1)), Perm((1, 3, 2))))
+    (Perm((1, 2)), (Perm((2, 1)), Perm((1, 3, 2))))
     >>> top_split(Perm((4, 5, 3, 1, 2)))
-    ('21', (Perm((1, 2)), Perm((3, 1, 2))))
+    (Perm((2, 1)), (Perm((1, 2)), Perm((3, 1, 2))))
     >>> top_split(Perm((3, 4, 6, 2, 1, 5)))
     (Perm((2, 4, 1, 3)), (Perm((1, 2)), Perm((1,)), Perm((2, 1)), Perm((1,))))
     """
@@ -294,7 +294,7 @@ def top_split(perm: Perm):
 class DecompTree:
     """Substitution decomposition tree; root is None at the leaves."""
 
-    root: str | Perm | None
+    root: Perm | None
     children: tuple["DecompTree", ...] = ()
 
 
@@ -304,7 +304,7 @@ def preorder(top, split) -> list:
     tree may nest as deep as a permutation's size, past any recursion limit.
 
     >>> [root for root, _ in preorder(Perm((2, 1, 3)), top_split)]
-    ['12', '21', None, None, None]
+    [Perm((1, 2)), Perm((2, 1)), None, None, None]
     """
     shape = []
     stack = [top]
@@ -319,8 +319,8 @@ def fold(shape: list, node, leaf):
     ...): ``leaf`` where there are no children, else ``node(label, parts)``
     on the children's values.  Folds from the end, first part on top.
 
-    >>> fold(preorder(Perm((2, 1, 3)), top_split),
-    ...      lambda root, parts: root + "[" + ",".join(parts) + "]", "1")
+    >>> fold(preorder(Perm((2, 1, 3)), top_split), lambda root, parts:
+    ...      "".join(map(str, root)) + "[" + ",".join(parts) + "]", "1")
     '12[21[1,1],1]'
     """
     stack = []
@@ -347,26 +347,14 @@ def decompose(perm: Perm) -> DecompTree:
 def rebuild(tree: DecompTree) -> Perm:
     """Reassemble the permutation a decomposition tree describes."""
     return fold(preorder(tree, lambda t: (t.root, t.children)),
-                lambda root, parts: substitute(root_perm(root), parts), Perm((1,)))
+                substitute, Perm((1,)))
 
 
 def tree_text(tree: DecompTree) -> str:
     """Compact display form, e.g. ``"2413[1,1,1,1]"`` (sizes <= 9 only)."""
     def text(root, parts):
-        label = root if isinstance(root, str) else "".join(map(str, root))
-        return label + "[" + ",".join(parts) + "]"
+        return "".join(map(str, root)) + "[" + ",".join(parts) + "]"
     return fold(preorder(tree, lambda t: (t.root, t.children)), text, "1")
-
-
-def root_perm(root: str | Perm) -> Perm:
-    """The permutation a root label stands for."""
-    if root == ROOT_12:
-        return Perm((1, 2))
-    if root == ROOT_21:
-        return Perm((2, 1))
-    if isinstance(root, Perm):
-        return root
-    raise ValueError(f"bad root label: {root!r}")
 
 
 @lru_cache(maxsize=None)

@@ -190,41 +190,38 @@ def complement_restriction(r: Restriction) -> list[Restriction]:
 class Term:
     """A restriction term: a root inflated with restriction components.
 
-    The root is "12", "21", or a simple permutation.  The first component
+    The root is 12, 21, or a simple permutation.  The first component
     of a 12 (resp. 21) rooted term has the sum-indecomposable (resp.
     skew-indecomposable) flavor, matching the canonical decomposition;
     every other component ranges over the whole closure.
     """
 
-    root: str | Perm
+    root: Perm
     args: tuple[Restriction, ...]
 
     def __post_init__(self):
-        args = tuple(self.args)
+        root, args = self.root, tuple(self.args)
         object.__setattr__(self, "args", args)
-        if isinstance(self.root, Perm):
-            if not is_simple(self.root):
-                raise ValueError(f"term root must be simple: {self.root}")
-            if len(args) != len(self.root):
-                raise ValueError("term arity does not match its root")
-            bad = [a for a in args if a.flavor != FLAVOR_ALL]
-        elif self.root in (ROOT_12, ROOT_21):
-            if len(args) != 2:
-                raise ValueError("linear terms take exactly 2 components")
-            first = FLAVOR_SUM_INDEC if self.root == ROOT_12 else FLAVOR_SKEW_INDEC
-            bad = ([args[0]] if args[0].flavor != first else []) + \
-                  ([args[1]] if args[1].flavor != FLAVOR_ALL else [])
+        if root in (ROOT_12, ROOT_21):
+            flavors = (FLAVOR_SUM_INDEC if root == ROOT_12 else FLAVOR_SKEW_INDEC,
+                       FLAVOR_ALL)
+        elif is_simple(root):
+            flavors = (FLAVOR_ALL,) * len(root)
         else:
-            raise ValueError(f"bad term root: {self.root!r}")
-        if bad:
-            raise ValueError(f"component flavor does not fit root {self.root}")
-        object.__setattr__(self, "_hash", hash((self.root, args)))
+            raise ValueError(f"term root must be simple: {root}")
+        if len(args) != len(flavors):
+            raise ValueError("term arity does not match its root")
+        if tuple(a.flavor for a in args) != flavors:
+            raise ValueError(f"component flavor does not fit root {root}")
+        object.__setattr__(self, "_hash", hash((root, args)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def root_text(self) -> str:
-        return self.root if isinstance(self.root, str) else str(self.root)
+        """The root as written in a term: ``12``, ``21`` or a literal."""
+        return "".join(map(str, self.root)) if len(self.root) == 2 \
+            else str(self.root)
 
     def name(self) -> str:
         return self.root_text() + "[" + ", ".join(a.name() for a in self.args) + "]"
@@ -233,16 +230,8 @@ class Term:
         return self.name()
 
 
-def _root_key(root: str | Perm) -> tuple:
-    if root == ROOT_12:
-        return (0, ())
-    if root == ROOT_21:
-        return (1, ())
-    return (2, perm_key(root))
-
-
 def term_key(t: Term) -> tuple:
-    return (_root_key(t.root), tuple(restriction_key(a) for a in t.args))
+    return (perm_key(t.root), tuple(restriction_key(a) for a in t.args))
 
 
 def restriction_leq(r1: Restriction, r2: Restriction) -> bool:
@@ -359,8 +348,7 @@ class System:
 
 def in_closure(p: Perm, simples: frozenset[Perm]) -> bool:
     """True when every internal tree label of p is 12, 21, or a listed simple."""
-    return all(lab in (ROOT_12, ROOT_21) or lab in simples
-               for lab in tree_labels(p))
+    return all(len(lab) == 2 or lab in simples for lab in tree_labels(p))
 
 
 def in_restriction(p: Perm, r: Restriction, simples: frozenset[Perm]) -> bool:

@@ -27,8 +27,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .perms import InvalidInputError, Perm, fold, root_perm, substitute
-from .restrictions import Restriction, System
+from .perms import InvalidInputError, Perm, fold, substitute
+from .restrictions import MODE_DISJOINT, Restriction, System
 from .engine import CountTable
 
 NUMERIC_TOLERANCE = 1e-12
@@ -51,7 +51,9 @@ class RejectionBudgetError(RuntimeError):
 
 @dataclass
 class SamplerState:
-    """A specification, its count table, and a seeded random source.
+    """A disjoint specification, its count table, and a seeded random
+    source.  An ambiguous system is refused: a member reached by several
+    summands would be drawn more often.
 
     The seed fully determines the sample stream for a fixed build.  One
     state per thread; the table may be shared.  Only ``sample_exact``
@@ -64,6 +66,8 @@ class SamplerState:
     target: Restriction | None = None
 
     def __post_init__(self):
+        if self.system.mode != MODE_DISJOINT:
+            raise ValueError("sampling needs a disjoint system")
         if self.target is None:
             self.target = self.system.root
         position = {r: i for i, r in enumerate(self.system.equations)}
@@ -79,7 +83,7 @@ class SamplerState:
             atom = (Perm((1,)), (), [[0, 1] + [0] * (self.table.depth - 1)])
             self._index = [
                 (self.table.counts[r], [atom] * eq.has_atom + [
-                    (root_perm(t.root), tuple(position[c] for c in t.args),
+                    (t.root, tuple(position[c] for c in t.args),
                      self.table.suffix_tables(t)) for t in eq.terms])
                 for r, eq in self.system.equations.items()]
 
@@ -214,7 +218,7 @@ def _weight_table(system: System, values: dict[Restriction, float], z: float):
     table = []
     for eq in system.equations.values():
         terms = [(Perm((1,)), (), z)] if eq.has_atom else []
-        terms += [(root_perm(t.root), tuple(index[c] for c in t.args),
+        terms += [(t.root, tuple(index[c] for c in t.args),
                    math.prod((values[c] for c in t.args), start=1.0))
                   for t in eq.terms]
         total = 0.0

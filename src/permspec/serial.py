@@ -89,13 +89,14 @@ def _parse_term(text: str) -> Term:
     if open_idx < 0 or not text.endswith("]"):
         raise InvalidInputError(f"bad term: {text!r}")
     root_text = text[:open_idx].strip()
-    if root_text in (ROOT_12, ROOT_21):
-        root: str | Perm = root_text
-    else:
+    root = {"12": ROOT_12, "21": ROOT_21}.get(root_text)
+    if root is None:
         try:
             root = Perm.from_text(root_text)
         except ValueError:
             raise InvalidInputError(f"bad term root: {root_text!r}") from None
+        if len(root) == 2:  # a linear root is spelled 12 or 21 only
+            raise InvalidInputError(f"bad term root: {root_text!r}")
     args = tuple(parse_restriction_name(tok)
                  for tok in text[open_idx + 1:-1].split(", "))
     try:
@@ -181,7 +182,7 @@ def parse_system(text: str) -> System:
 
 def system_json(system: System) -> dict:
     def term_json(t: Term) -> dict:
-        root = t.root if isinstance(t.root, str) else list(t.root)
+        root = t.root_text() if len(t.root) == 2 else list(t.root)
         return {"root": root, "args": [a.name() for a in t.args]}
 
     return {

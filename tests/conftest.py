@@ -19,7 +19,7 @@ from permspec.checks import (IN_CLOSURE, SKEW_DEC, SUM_DEC, Profiles,
 from permspec.engine import count_coefficients
 from permspec.perms import (ROOT_12, ROOT_21, Embedding, avoids, embeddings,
                             gen_substitute, is_simple, pattern_of, perm_key,
-                            root_perm, top_split)
+                            top_split)
 from permspec.restrictions import MODE_DISJOINT, Restriction, Term, term_key
 
 # Test bases used throughout: one substitution-closed, one with an empty
@@ -210,7 +210,7 @@ def add_mandatory_reference(term: Term, pattern: Perm) -> list[Term]:
     built from tuples with the induced pattern made mandatory: how
     ``builder.add_mandatory`` once pushed containment."""
     out = set()
-    for emb in embeddings(pattern, root_perm(term.root)):
+    for emb in embeddings(pattern, term.root):
         args = list(term.args)
         for slot in [i for i, (_, n) in enumerate(emb.blocks) if n]:
             r = args[slot]

@@ -25,7 +25,7 @@ from permspec import (
     rhs_multiplicity,
 )
 from permspec.perms import (ROOT_12, ROOT_21, embedding_parts, embeddings,
-                            perm_key, root_perm)
+                            perm_key)
 from permspec.restrictions import (_interned, _number, prune_subsumed,
                                    term_key)
 
@@ -270,7 +270,7 @@ def test_pushes_match_the_tuple_built_references(monkeypatch):
 
     pairs = set()
     for term, patterns in avoid_calls:
-        root = root_perm(term.root)
+        root = term.root
         out = [term]
         for excluded in sorted(set(patterns), key=perm_key):
             pairs.add((excluded, root))
@@ -287,7 +287,7 @@ def test_pushes_match_the_tuple_built_references(monkeypatch):
                 break
         assert add_constraints(term, patterns) == sorted(out, key=term_key)
     for term, pattern in contain_calls:
-        pairs.add((pattern, root_perm(term.root)))
+        pairs.add((pattern, term.root))
         assert add_mandatory(term, pattern) == \
             add_mandatory_reference(term, pattern)
     assert contain_calls and len(pairs) > 100, len(pairs)

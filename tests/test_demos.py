@@ -1,5 +1,7 @@
-"""Smoke test: every demo script runs to completion against the library."""
+"""Every demo script runs to completion against the library and prints
+exactly what it printed when its digest was taken."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +12,21 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# sha256 of each demo's stdout.  Two runs of each demo gave equal digests;
+# a change to any printed specification, count, tree or sample shows here.
+STDOUT_SHA256 = {
+    "01_patterns_and_trees.py":
+        "3e5c401250a630f4e9a596bbd8f849683b69db72a58c3c591bd092b5b871c212",
+    "02_simple_permutations.py":
+        "2e962d1cd4ac2fdafa85cc9039c814736f9dfdc194eaccd9ea2dc9af4d835e56",
+    "03_building_a_specification.py":
+        "82bbd14e4d4ed9a5e6e4e14ad005b9925c002592fdb089e065ff2ec763775eb5",
+    "04_counting_and_series.py":
+        "b0ee0bdd8d538f0de011a37b08bae563df453bc91102fb5bcf31eb7afbd37670",
+    "05_random_sampling.py":
+        "08d885dbf4e8d5656518233bf7993c503f6d1d26b26af2ed0965cc79cf282faa",
+}
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
@@ -19,3 +36,5 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == STDOUT_SHA256[demo.name], done.stdout

@@ -452,4 +452,5 @@ def test_perm_is_the_validated_tuple():
         message = f"not a permutation of 1..n: {bad!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             Perm(bad)
-    assert Perm((1, 2)) != ROOT_12 and Perm((2, 1)) != ROOT_21
+    assert ROOT_12 == Perm((1, 2)) and ROOT_21 == Perm((2, 1))
+    assert type(ROOT_12) is Perm and type(ROOT_21) is Perm

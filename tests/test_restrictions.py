@@ -155,6 +155,8 @@ def test_term_validation():
         Term(pc("3142"), (CA(), CA(), CA()))       # arity mismatch
     with pytest.raises(ValueError):
         Term(ROOT_12, (CA(), CA()))                # first flavor must be "+"
+    with pytest.raises(ValueError):
+        Term("12", (Restriction(FLAVOR_SUM_INDEC), CA()))  # a root is a Perm
 
 
 def test_intersect_terms_componentwise():

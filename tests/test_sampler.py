@@ -24,7 +24,7 @@ from permspec import (
     sample_exact,
 )
 from permspec import sampler
-from permspec.perms import InvalidInputError, avoids, root_perm, substitute
+from permspec.perms import InvalidInputError, avoids, substitute
 
 from conftest import BASIS_132, BASIS_ONE_SIMPLE, pc, recurse
 
@@ -243,6 +243,14 @@ def test_boltzmann_state_needs_no_count_table(systems_one_simple):
         sample_exact(bare, 5)
 
 
+def test_sampling_refuses_an_ambiguous_system(systems_one_simple):
+    # A member reached by several summands of an ambiguous system would be
+    # drawn more often than the others, so no draw is uniform.
+    ambiguous, _ = systems_one_simple
+    with pytest.raises(ValueError, match="sampling needs a disjoint system"):
+        SamplerState(ambiguous, seed=0)
+
+
 def test_exact_deep_chain_needs_no_recursion():
     # Av(21) holds only identities, whose trees nest as deep as the size.
     disjoint = disambiguate_system(
@@ -294,7 +302,7 @@ def recursive_reference(state, n):
                     raise AssertionError("inconsistent suffix tables")
             parts.append((yield draw(comp, size)))
             remaining -= size
-        return substitute(root_perm(term.root), parts)
+        return substitute(term.root, parts)
 
     return recurse(draw(state.target, n))
 
@@ -355,7 +363,7 @@ def per_visit_reference(state, z, window, budget):
                 parts = []
                 for comp in term.args:
                     parts.append((yield draw(comp, counter)))
-                return substitute(root_perm(term.root), parts)
+                return substitute(term.root, parts)
             u -= w
         raise AssertionError(f"inconsistent series weights for {r}")
 

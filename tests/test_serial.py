@@ -80,6 +80,9 @@ def test_parse_rejects_malformed_input(systems_132):
     body = [ln for ln in text.splitlines() if " = " not in ln]
     with pytest.raises(InvalidInputError):
         parse_system("\n".join(body) + "\n")               # no root equation
+    assert " 12[" in text
+    with pytest.raises(InvalidInputError):
+        parse_system(text.replace(" 12[", " 1 2[", 1))     # spaced linear root
 
 
 def test_perm_file_parsing():
@@ -100,6 +103,9 @@ def test_json_mirror(systems_one_simple):
     lhs_names = {eq["lhs"] for eq in payload["equations"]}
     assert payload["root"] in lhs_names
     assert len(lhs_names) == len(disjoint.equations)
+    roots = [t["root"] for eq in payload["equations"] for t in eq["terms"]]
+    assert "12" in roots and [3, 1, 4, 2] in roots
+    assert all(r in ("12", "21", [3, 1, 4, 2]) for r in roots)
 
 
 def test_worked_disjoint_spec_text_is_pinned(systems_one_simple,
