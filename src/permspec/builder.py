@@ -10,10 +10,9 @@ blocked in some slot, and every choice of one slot per embedding yields
 one term, its components' avoid masks ORed with the chosen bits.
 Containment of a mandatory pattern is pushed into contain masks, one
 summand per embedding; ``restriction_equation`` does both and seeds every
-equation, here and in the disambiguator.  ``close`` walks from the class's
-root restriction and gives an equation to each restriction that appears
-on a right side, so every equation is reachable from the root; everything
-lives in the finite pattern closure of the basis, so this terminates.
+equation here and in the disambiguator, pushing a (root, avoid mask) once
+a build.  ``close`` gives an equation to the root restriction and to all it
+reaches: finitely many, as all lie in the basis's pattern closure.
 """
 
 from __future__ import annotations
@@ -189,19 +188,25 @@ def add_mandatory(term: Term, pattern: Perm) -> list[Term]:
     return sorted(out, key=term_key)
 
 
-def restriction_equation(r: Restriction, simples: Iterable[Perm]) -> Equation:
+def restriction_equation(r: Restriction, simples: Iterable[Perm],
+                         pushes: dict | None = None) -> Equation:
     """An equation describing one restriction, in possibly ambiguous form.
 
     Starts from the closure shape of the restriction's flavor, pushes every
     avoided pattern down, then every mandatory pattern.  The atom survives
     only when the size-1 permutation itself satisfies the restriction,
-    i.e. when no pattern is mandatory.
+    i.e. when no pattern is mandatory.  ``pushes`` keeps avoidance pushes
+    by (root, avoid mask), which fix them; one dict serves a whole build
+    and dies with it, so nothing outlives the build (fresh when not given).
     """
     if r.empty:
         raise ValueError(f"no equation for statically empty {r.name()}")
+    pushes = {} if pushes is None else pushes
     terms: list[Term] = []
     for base in closure_terms(r.flavor, tuple(simples)):
-        terms.extend(add_constraints(base, r.avoid))
+        if (key := (base.root, r.avoid_mask)) not in pushes:
+            pushes[key] = add_constraints(base, r.avoid)
+        terms.extend(pushes[key])
     for mandatory in r.contain:
         terms = [t2 for t in terms for t2 in add_mandatory(t, mandatory)]
     return make_equation(r, not r.contain, terms)
@@ -236,8 +241,8 @@ def ambiguous_system(ci: ClassInput) -> System:
     """The full (possibly ambiguous) system describing the class: the
     closure of its root, or the root alone, with an empty right side, when
     the basis is {1} and the root is statically empty."""
-    root = Restriction(FLAVOR_ALL, ci.non_simple_basis)
-    equations = ({root: make_equation(root, False, ())} if root.empty else
-                 close(root, lambda lhs: restriction_equation(lhs, ci.simples)))
+    root, pushes = Restriction(FLAVOR_ALL, ci.non_simple_basis), {}
+    equations = ({root: make_equation(root, False, ())} if root.empty else close(
+        root, lambda lhs: restriction_equation(lhs, ci.simples, pushes)))
     return System(root=root, equations=equations, basis=ci.basis,
                   simples=ci.simples, mode=MODE_AMBIGUOUS)

@@ -79,10 +79,12 @@ def disambiguate_system(system: System) -> System:
     use no unproductive nonterminal.  The root and its members are
     unchanged.
     """
+    pushes: dict = {}  # this build's avoidance pushes
+
     def disjoint(lhs: Restriction) -> Equation:
         return disambiguate_equation(
             system.equations[lhs] if lhs in system.equations
-            else restriction_equation(lhs, system.simples))
+            else restriction_equation(lhs, system.simples, pushes))
 
     untrimmed = replace(system, equations=close(system.root, disjoint),
                         mode=MODE_DISJOINT)

@@ -384,11 +384,13 @@ class Embedding:
     def induced(self, embedded: Perm, i: int) -> Perm | None:
         """The pattern of the embedded permutation on block i (None when empty)."""
         start, length = self.blocks[i]
-        if length == 0:
-            return None
-        block = embedded[start - 1:start - 1 + length]
-        low = min(block) - 1  # the block's values form an interval
-        return Perm([v - low for v in block])
+        return _block_pattern(embedded, start - 1, start - 1 + length) \
+            if length else None
+
+
+def _block_pattern(embedded: Perm, lo: int, hi: int) -> Perm:
+    low = min(embedded[lo:hi]) - 1  # the block's values form an interval
+    return Perm([v - low for v in embedded[lo:hi]])
 
 
 @lru_cache(maxsize=None)
@@ -399,42 +401,53 @@ def embeddings(embedded: Perm, host: Perm) -> tuple[Embedding, ...]:
     consecutive, possibly empty block per host position (its slot) such
     that entries in slots t != s compare as host[t] and host[s] do: so each
     block's values form an interval, and the blocks' patterns substituted
-    into the host rebuild it.  The search gives the entries non-decreasing
-    slots left to right, highest first (by ascending cuts), and drops slot
-    s for entry i once an earlier entry in another slot compares wrongly.
+    into the host rebuild it.  These are the blocks of ``embedding_parts``.
 
     >>> len(embeddings(Perm((1,)), Perm((1, 2))))
     2
     >>> len(embeddings(Perm.from_text("5 4 6 3 1 2"), Perm.from_text("3 1 4 2")))
     12
     """
-    g, n = len(embedded), len(host)
-    out, slot, i = [], [n] * g, 0  # an entry's slot is n until first tried
-    while i >= 0:
-        v, s, floor = embedded[i], slot[i] - 1, slot[i - 1] if i else 0
-        while s >= floor and any((embedded[j] < v) != (host[t] < host[s])
-                                 for j, t in enumerate(slot[:i]) if t != s):
-            s -= 1
-        slot[i] = s if s >= floor else n
-        if s >= floor and i == g - 1:
-            sizes = [slot.count(t) for t in range(n)]
-            out.append(Embedding(tuple(
-                zip(itertools.accumulate(sizes, initial=1), sizes))))
-        else:
-            i += 1 if s >= floor else -1
-    return tuple(out)
+    return tuple(Embedding(tuple(zip(itertools.accumulate(sizes, initial=1), sizes)))
+                 for parts in map(dict, embedding_parts(embedded, host))
+                 for sizes in [[len(parts.get(t, ())) for t in range(len(host))]])
 
 
 @lru_cache(maxsize=None)
 def embedding_parts(embedded: Perm, host: Perm) -> tuple[tuple, ...]:
-    """Per embedding, in the order of ``embeddings``, the (slot, induced
-    pattern) pairs of its nonempty slots.
+    """Per embedding, by ascending cuts, the (slot, induced pattern) pairs
+    of its nonempty slots, each block's pattern built once.  Entries take
+    host slots left to right, never decreasing, highest first, from the
+    bitmasks ``above`` (``below``) each earlier smaller (larger) entry's slot.
 
     >>> embedding_parts(Perm((1, 2)), Perm((1, 2)))[1]
     ((0, Perm((1,))), (1, Perm((1,))))
     """
-    return tuple(tuple((i, emb.induced(embedded, i)) for i in range(len(host))
-                       if emb.blocks[i][1]) for emb in embeddings(embedded, host))
+    g, n = len(embedded), len(host)
+    above = [sum(1 << s for s in range(n) if host[s] >= h) for h in host]
+    below = [sum(1 << s for s in range(n) if host[s] <= h) for h in host]
+    out, induced, slot, left, i = [], {}, [0] * g, [(1 << n) - 1] + [0] * g, 0
+    while i >= 0:
+        if not left[i]:
+            i -= 1
+            continue
+        s = slot[i] = left[i].bit_length() - 1
+        left[i] ^= 1 << s
+        if i < g - 1:
+            i, mask = i + 1, -1 << s  # the slots left for the next entry
+            for j in range(i):
+                mask &= (above if embedded[j] < embedded[i] else below)[slot[j]]
+            left[i] = mask
+            continue
+        parts, lo = [], 0
+        for hi in range(1, g + 1):
+            if hi == g or slot[hi] != slot[lo]:
+                if (lo, hi) not in induced:
+                    induced[lo, hi] = _block_pattern(embedded, lo, hi)
+                parts.append((slot[lo], induced[lo, hi]))
+                lo = hi
+        out.append(tuple(parts))
+    return tuple(out)
 
 
 def pattern_masks(bits: dict[Perm, int], max_size: int,

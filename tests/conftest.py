@@ -183,6 +183,29 @@ def rank_top_split(perm: Perm):
                            for start, length in blocks)
 
 
+# --- the any() slot search that the bitmask slot search replaced ------------
+
+def any_slot_embeddings(embedded: Perm, host: Perm) -> tuple[Embedding, ...]:
+    """Embeddings by the slot search that tests each candidate slot with an
+    ``any()`` over the earlier entries' slots, a fresh slice per slot: how
+    ``embeddings`` once found them, before the bitmask slot search."""
+    g, n = len(embedded), len(host)
+    out, slot, i = [], [n] * g, 0  # an entry's slot is n until first tried
+    while i >= 0:
+        v, s, floor = embedded[i], slot[i] - 1, slot[i - 1] if i else 0
+        while s >= floor and any((embedded[j] < v) != (host[t] < host[s])
+                                 for j, t in enumerate(slot[:i]) if t != s):
+            s -= 1
+        slot[i] = s if s >= floor else n
+        if s >= floor and i == g - 1:
+            sizes = [slot.count(t) for t in range(n)]
+            out.append(Embedding(tuple(
+                zip(itertools.accumulate(sizes, initial=1), sizes))))
+        else:
+            i += 1 if s >= floor else -1
+    return tuple(out)
+
+
 # --- the tuple-built pushes that the mask clauses replaced ------------------
 
 def push_avoidance_reference(args, excluded: Perm, embs) -> set:

@@ -313,3 +313,44 @@ def test_b1_builds_few_restrictions(monkeypatch):
     in_builder, built[0] = built[0], 0
     disambiguate_system(amb)
     assert in_builder <= 300 and built[0] <= 300, (in_builder, built[0])
+
+
+# --- one push per (root, avoid mask) a build --------------------------------
+
+def test_b1_pushes_each_root_and_avoid_mask_once_a_build(monkeypatch):
+    # Without the per-build pushes, B1's build made 127 add_constraints
+    # calls, 79 of them distinct.  A second build in the same process
+    # repeats the first call for call, so no push outlives its build.
+    basis = tuple(map(pc, CORPUS["B1"]))
+    ci = class_input(basis, compute_simples(basis, cap=10).simples)
+    calls = []
+    add_constraints = builder.add_constraints
+
+    def spy(term, patterns):
+        calls.append((term.root, tuple(patterns)))
+        return add_constraints(term, patterns)
+
+    monkeypatch.setattr(builder, "add_constraints", spy)
+    builds = []
+    for _ in range(2):
+        calls.clear()
+        amb = ambiguous_system(ci)
+        in_builder = list(calls)
+        calls.clear()
+        disambiguate_system(amb)
+        builds.append((in_builder, list(calls)))
+    assert builds[0] == builds[1]
+    for stage in builds[0]:
+        assert len(set(stage)) == len(stage)
+    assert len(builds[0][0]) == 79
+
+
+def test_restriction_equation_alone_equals_the_built_equations(
+        corpus_systems):
+    # A call without a build's pushes starts empty and gives the same
+    # equation as the build did.
+    for name in ("B1", "B3"):
+        amb, _ = corpus_systems[name]
+        for lhs, eq in amb.equations.items():
+            assert builder.restriction_equation(lhs, amb.simples) == eq, \
+                (name, lhs.name())

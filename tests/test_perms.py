@@ -32,8 +32,9 @@ from permspec.perms import (ROOT_12, ROOT_21, InvalidInputError,
                             split_blocks, top_split, tree_labels)
 
 from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
-                      contains_mask, cut_embeddings, every_pattern_mask, pc,
-                      perms_of_size, rank_top_split, scan_avoiders)
+                      any_slot_embeddings, contains_mask, cut_embeddings,
+                      every_pattern_mask, pc, perms_of_size, rank_top_split,
+                      scan_avoiders)
 
 
 # --- pattern containment ---------------------------------------------------
@@ -322,6 +323,26 @@ def test_embeddings_match_the_cut_route(gamma, host):
     for emb in embs:
         args = [emb.induced(gamma, i) for i in range(len(host))]
         assert gen_substitute(host, args) == gamma
+
+
+def perms_up_to(k: int):
+    return st.integers(1, k).flatmap(
+        lambda n: st.permutations(range(1, n + 1))).map(Perm)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(perms_up_to(6), perms_up_to(8))
+@example(pc("546312"), pc("3142"))
+@example(pc("213"), pc("21436587"))
+@example(pc("654321"), pc("87654321"))
+def test_bitmask_slot_search_matches_the_any_slot_search(gamma, host):
+    # Hosts simple or not; each induced pattern against its block's rank.
+    want = any_slot_embeddings(gamma, host)
+    assert embeddings(gamma, host) == want
+    assert embedding_parts(gamma, host) == tuple(
+        tuple((i, pattern_of(gamma[start - 1:start - 1 + n]))
+              for i, (start, n) in enumerate(emb.blocks) if n)
+        for emb in want)
 
 
 def test_top_split_matches_the_rank_route_through_size_8():
