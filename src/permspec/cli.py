@@ -239,19 +239,20 @@ def _cmd_sample(args) -> int:
         raise InvalidInputError("sample size must be >= 1")
     if args.count < 1:
         raise InvalidInputError("sample count must be >= 1")
+    if args.method == "exact" and (args.z, args.window) != (None, None):
+        raise InvalidInputError("--z and --window are boltzmann options")
     window = _parse_window(args.window) if args.window else (args.n, args.n)
     if args.method == "boltzmann":
         if args.z is None:
             raise InvalidInputError("the boltzmann method needs --z")
         check_boltzmann_options(args.z, window)
     system = _specification(args)
-    # the Boltzmann sampler reads series values, not the count table
-    table = count_coefficients(system, args.n) if args.method == "exact" \
-        else None
-    state = SamplerState(system, table, seed=args.seed)
     if args.method == "exact":
+        state = SamplerState(system, count_coefficients(system, args.n),
+                             seed=args.seed)
         draws = [sample_exact(state, args.n) for _ in range(args.count)]
-    else:
+    else:  # the Boltzmann sampler reads series values, not a count table
+        state = SamplerState(system, seed=args.seed)
         draws = [sample_boltzmann(state, args.z, window)
                  for _ in range(args.count)]
     if args.json:

@@ -19,7 +19,7 @@ pattern closure of the basis.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import reduce
+from functools import cache, reduce
 
 from .restrictions import (
     MODE_DISJOINT,
@@ -48,11 +48,11 @@ def disambiguate_equation(eq: Equation) -> Equation:
     of every earlier term it may intersect.  Terms with different roots
     never intersect, and neither do the atom and a term (terms produce size
     >= 2 only), so an equation whose terms are pairwise statically disjoint
-    comes back unchanged.
+    comes back unchanged.  Each term is complemented at most once.
     """
-    terms: list[Term] = []
+    terms, complement = [], cache(complement_term)
     for j, t in enumerate(eq.terms):
-        terms += reduce(_meet, [complement_term(u) for u in eq.terms[:j]
+        terms += reduce(_meet, [complement(u) for u in eq.terms[:j]
                                 if intersect_terms(u, t) is not None], [t])
     return make_equation(eq.lhs, eq.has_atom, terms)
 

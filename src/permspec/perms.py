@@ -334,6 +334,31 @@ def fold(shape: list, node, leaf):
     return stack[0]
 
 
+def inflate(shape: list) -> Perm:
+    """``fold(shape, substitute, Perm((1,)))`` in linear time: child sizes
+    from the end, then from the top each child's least value, by root value.
+
+    >>> inflate(preorder(Perm((3, 4, 6, 2, 1, 5)), top_split))
+    Perm((3, 4, 6, 2, 1, 5))
+    """
+    parts, stack = [], []  # per node from the end, its children's sizes
+    for entry in reversed(shape):
+        k = len(entry[1])
+        parts.append(stack[:-k - 1:-1] if k else ())
+        stack[len(stack) - k:] = [sum(parts[-1]) if k else 1]
+    out, stack = [], [0]
+    for entry, sizes in zip(shape, reversed(parts)):
+        low = stack.pop()
+        if not sizes:
+            out.append(low + 1)
+            continue
+        lows = [0] * len(sizes)
+        for pos in sorted(range(len(sizes)), key=entry[0].__getitem__):
+            lows[pos], low = low, low + sizes[pos]
+        stack += reversed(lows)
+    return Perm(out)
+
+
 def decompose(perm: Perm) -> DecompTree:
     """The canonical decomposition tree of a permutation.
 
@@ -346,8 +371,7 @@ def decompose(perm: Perm) -> DecompTree:
 
 def rebuild(tree: DecompTree) -> Perm:
     """Reassemble the permutation a decomposition tree describes."""
-    return fold(preorder(tree, lambda t: (t.root, t.children)),
-                substitute, Perm((1,)))
+    return inflate(preorder(tree, lambda t: (t.root, t.children)))
 
 
 def tree_text(tree: DecompTree) -> str:

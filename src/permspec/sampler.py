@@ -17,8 +17,8 @@ valid because the system is positive.  Conditioned on its size the output
 is uniform, so rejection against a size window keeps uniformity.  A draw
 picks its terms from per-z weight tables, and only a draw whose size falls
 in the window is built: anticipated rejection (Duchon, Flajolet, Louchard
-and Schaeffer 2004).  Both samplers draw their choices in preorder, on a
-stack, and ``perms.fold`` builds them, so members may nest to any depth.
+and Schaeffer 2004).  Each draw is a preorder shape drawn on a stack, to any
+depth, built by ``perms.inflate`` (exact) or ``perms.fold`` (Boltzmann).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .perms import InvalidInputError, Perm, fold, substitute
+from .perms import InvalidInputError, Perm, fold, inflate, substitute
 from .restrictions import MODE_DISJOINT, Restriction, System
 from .engine import CountTable
 
@@ -96,7 +96,7 @@ def sample_exact(state: SamplerState, n: int) -> Perm:
         raise ValueError(f"size {n} outside table depth {state.table.depth}")
     if state.table.count(state.target, n) == 0:
         raise EmptySizeClassError(f"no member of size {n} in {state.target}")
-    return fold(_exact_shape(state, n), substitute, Perm((1,)))
+    return inflate(_exact_shape(state, n))
 
 
 def _exact_shape(state: SamplerState, n: int) -> list:

@@ -196,6 +196,21 @@ def test_sample_rejects_boltzmann_options_before_building(
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_sample_exact_refuses_boltzmann_options_before_building(
+        basis_file, capsys, monkeypatch):
+    def unreachable(system):
+        raise AssertionError("the specification was built")
+    monkeypatch.setattr(cli, "disambiguate_system", unreachable)
+    basis = basis_file("1 2 4 3\n2 4 1 3\n4 1 3 5 2\n5 3 1 6 4 2\n")
+    for method in ((), ("--method", "exact")):
+        for options in (("--window", "1:3"), ("--z", "0.2"),
+                        ("--z", "0.2", "--window", "5:5")):
+            assert main(["sample", "--basis", basis, "-n", "5",
+                         *method, *options]) == 3
+            assert capsys.readouterr().err == \
+                "error: --z and --window are boltzmann options\n"
+
+
 def test_sample_count_table_depth_is_n(basis_file, capsys, monkeypatch):
     # The Boltzmann sampler reads no count table, so it builds none; the
     # exact sampler's table goes to depth n.

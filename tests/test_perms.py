@@ -27,9 +27,11 @@ from permspec import (
     substitute,
     tree_text,
 )
+from permspec import perms
 from permspec.perms import (ROOT_12, ROOT_21, InvalidInputError,
-                            embedding_parts, pattern_masks, perm_key,
-                            split_blocks, top_split, tree_labels)
+                            embedding_parts, fold, inflate, pattern_masks,
+                            perm_key, preorder, split_blocks, top_split,
+                            tree_labels)
 
 from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
                       any_slot_embeddings, contains_mask, cut_embeddings,
@@ -178,6 +180,25 @@ def test_decompose_and_rebuild_deep_chains():
             assert rebuild(tree) == p
             assert tree_text(tree).count("[") == n - 1
             assert in_closure(p, frozenset())
+    finally:
+        top_split.cache_clear()
+        tree_labels.cache_clear()
+
+
+def test_rebuild_round_trips_deep_chains_without_substitute(monkeypatch):
+    # rebuild inflates the tree's preorder shape; no substitution is made.
+    def refuse(skeleton, args):
+        raise AssertionError("substitute called")
+    monkeypatch.setattr(perms, "substitute", refuse)
+    n = 2000
+    alternating = [1]
+    for i in range(n - 1):  # 12[1, p] and 21[p, 1] in turn
+        alternating = [v + 1 for v in alternating] + [1] if i % 2 \
+            else [1] + [v + 1 for v in alternating]
+    try:
+        for values in (range(1, n + 1), alternating):
+            p = Perm(values)
+            assert rebuild(decompose(p)) == p
     finally:
         top_split.cache_clear()
         tree_labels.cache_clear()
@@ -343,6 +364,32 @@ def test_bitmask_slot_search_matches_the_any_slot_search(gamma, host):
         tuple((i, pattern_of(gamma[start - 1:start - 1 + n]))
               for i, (start, n) in enumerate(emb.blocks) if n)
         for emb in want)
+
+
+def decomposition_trees(max_leaves: int):
+    """Trees on 12, 21 and simple roots of size 4 to 6, not necessarily
+    canonical."""
+    roots = st.sampled_from([ROOT_12, ROOT_21]) | st.sampled_from(
+        simple_roots(4) + simple_roots(5) + simple_roots(6))
+    return st.recursive(
+        st.just(DecompTree(None)),
+        lambda kids: roots.flatmap(
+            lambda root: st.lists(kids, min_size=len(root),
+                                  max_size=len(root))
+            .map(lambda cs: DecompTree(root, tuple(cs)))),
+        max_leaves=max_leaves)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(decomposition_trees(80), st.sampled_from([None, Perm((1,))]))
+def test_inflate_equals_the_substitution_fold(tree, leaf_root):
+    # Entries as preorder gives them, and as the samplers do: a leaf root of
+    # 1 and a third field that inflate ignores.
+    shape = preorder(tree, lambda t: (t.root, t.children))
+    want = fold(shape, substitute, Perm((1,)))
+    assert inflate(shape) == want
+    assert inflate([(root if kids else leaf_root, kids, object())
+                    for root, kids in shape]) == want
 
 
 def test_top_split_matches_the_rank_route_through_size_8():

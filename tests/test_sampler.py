@@ -23,7 +23,7 @@ from permspec import (
     sample_boltzmann,
     sample_exact,
 )
-from permspec import sampler
+from permspec import perms, sampler
 from permspec.perms import InvalidInputError, avoids, substitute
 
 from conftest import BASIS_132, BASIS_ONE_SIMPLE, pc, recurse
@@ -257,6 +257,19 @@ def test_exact_deep_chain_needs_no_recursion():
         ambiguous_system(class_input([pc("21")], [])))
     state = SamplerState(disjoint, count_coefficients(disjoint, 2000), seed=4)
     assert sample_exact(state, 2000) == Perm(tuple(range(1, 2001)))
+
+
+def test_exact_draws_make_no_substitution(systems_one_simple, monkeypatch):
+    # An exact draw is inflated from its shape in one pass, not folded.
+    def refuse(*args):
+        raise AssertionError("an exact draw folded or substituted")
+    for name in ("fold", "substitute"):
+        monkeypatch.setattr(sampler, name, refuse)
+        monkeypatch.setattr(perms, name, refuse)
+    disjoint = systems_one_simple[1]
+    state = SamplerState(disjoint, count_coefficients(disjoint, 40), seed=5)
+    draws = [sample_exact(state, 40) for _ in range(20)]
+    assert all(len(p) == 40 and avoids(p, BASIS_ONE_SIMPLE) for p in draws)
 
 
 # --- exact draws against the recursive sampler they replaced ---------------
