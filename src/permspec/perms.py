@@ -501,13 +501,13 @@ def pattern_masks(bits: dict[Perm, int], max_size: int,
                 yield kept
 
 
-def enumerate_avoiders(basis: Iterable[Perm], n: int,
-                       cap: int = DEFAULT_ORACLE_CAP) -> list[Perm]:
+def enumerate_avoiders(basis: Iterable[Perm], n: int) -> list[Perm]:
     """All permutations of size n avoiding every basis element, in
     lexicographic order: p avoids it when p is no basis element and its
-    one-point deletions avoid it (``pattern_masks``).  n must lie in 1..cap.
-    """
-    if not 1 <= n <= cap:
-        raise InvalidInputError(f"oracle size {n} is outside 1..{cap}")
+    one-point deletions avoid it (``pattern_masks``).  n must lie in
+    1..DEFAULT_ORACLE_CAP."""
+    if not 1 <= n <= DEFAULT_ORACLE_CAP:
+        raise InvalidInputError(
+            f"oracle size {n} is outside 1..{DEFAULT_ORACLE_CAP}")
     keys = pattern_masks(dict.fromkeys(basis, 1), n, lambda k, m: None if m else k)
     return [Perm(key) for key in keys if len(key) == n]

@@ -17,8 +17,9 @@ valid because the system is positive.  Conditioned on its size the output
 is uniform, so rejection against a size window keeps uniformity.  A draw
 picks its terms from per-z weight tables, and only a draw whose size falls
 in the window is built: anticipated rejection (Duchon, Flajolet, Louchard
-and Schaeffer 2004).  Each draw is a preorder shape drawn on a stack, to any
-depth, built by ``perms.inflate`` (exact) or ``perms.fold`` (Boltzmann).
+and Schaeffer 2004).  Both samplers pick from one choice list per equation
+(``_choices``), weighted by suffix rows or by series values.  Each draw is
+a preorder shape drawn on a stack, to any depth, built by ``perms.inflate``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .perms import InvalidInputError, Perm, fold, inflate, substitute
+from .perms import InvalidInputError, Perm, inflate
 from .restrictions import MODE_DISJOINT, Restriction, System
 from .engine import CountTable
 
@@ -63,39 +64,40 @@ class SamplerState:
     system: System
     table: CountTable | None = None
     seed: int = 0
-    target: Restriction | None = None
 
     def __post_init__(self):
         if self.system.mode != MODE_DISJOINT:
             raise ValueError("sampling needs a disjoint system")
-        if self.target is None:
-            self.target = self.system.root
-        position = {r: i for i, r in enumerate(self.system.equations)}
-        if self.target not in position:
-            raise ValueError(f"no equation for target {self.target}")
-        self._start = position[self.target]
+        self._start = list(self.system.equations).index(self.system.root)
         self.rng = random.Random(self.seed)
         self._tables: dict[float, list] = {}
-        # Per equation: its count row and its choices as (root, component
-        # positions, suffix rows), an atom first with one member of size 1.
+        # Per equation: its count row and its choices weighted by suffix
+        # rows, the atom's one member of size 1.
         self._index = None
         if self.table is not None:
-            atom = (Perm((1,)), (), [[0, 1] + [0] * (self.table.depth - 1)])
-            self._index = [
-                (self.table.counts[r], [atom] * eq.has_atom + [
-                    (t.root, tuple(position[c] for c in t.args),
-                     self.table.suffix_tables(t)) for t in eq.terms])
-                for r, eq in self.system.equations.items()]
+            atom = [[0, 1] + [0] * (self.table.depth - 1)]
+            choices = _choices(self.system, self.table.suffix_tables, atom)
+            self._index = [(self.table.counts[r], c)
+                           for r, c in zip(self.system.equations, choices)]
+
+
+def _choices(system: System, weight, atom) -> list[list[tuple]]:
+    """Per equation, by position: its choices as (root, component
+    positions, weight(term)), the atom first as (1, (), atom)."""
+    position = {r: i for i, r in enumerate(system.equations)}
+    return [[(Perm((1,)), (), atom)] * eq.has_atom + [
+        (t.root, tuple(position[c] for c in t.args), weight(t))
+        for t in eq.terms] for eq in system.equations.values()]
 
 
 def sample_exact(state: SamplerState, n: int) -> Perm:
-    """A permutation of size n, exactly uniform over the target's members."""
+    """A permutation of size n, exactly uniform over the root's members."""
     if state.table is None:
         raise ValueError("exact sampling needs a count table")
     if n < 1 or n > state.table.depth:
         raise ValueError(f"size {n} outside table depth {state.table.depth}")
-    if state.table.count(state.target, n) == 0:
-        raise EmptySizeClassError(f"no member of size {n} in {state.target}")
+    if state.table.root_count(n) == 0:
+        raise EmptySizeClassError(f"no member of size {n} in {state.system.root}")
     return inflate(_exact_shape(state, n))
 
 
@@ -103,7 +105,7 @@ def _exact_shape(state: SamplerState, n: int) -> list:
     """One exact draw's choices in preorder.
 
     The stack holds continuations (choice, next component, size left), the
-    first a one-component choice of the target.  Each draws the component's
+    first a one-component choice of the root.  Each draws the component's
     size, leaves the next continuation under it, and picks the component's
     choice by count, so a child's whole subtree is drawn before the next
     component's size.
@@ -142,20 +144,17 @@ def _exact_shape(state: SamplerState, n: int) -> list:
     return shape
 
 
-def evaluate_series(system: System, z: float,
-                    tolerance: float = NUMERIC_TOLERANCE,
-                    max_iterations: int = MAX_FIXPOINT_ITERATIONS,
-                    ) -> dict[Restriction, float]:
+def evaluate_series(system: System, z: float) -> dict[Restriction, float]:
     """Numeric values of every nonterminal's series at z.
 
     Monotone fixpoint iteration from zero; raises when values blow up or
-    the relative change fails to drop below the tolerance in the iteration
-    budget.
+    the relative change fails to drop below ``NUMERIC_TOLERANCE`` within
+    ``MAX_FIXPOINT_ITERATIONS``.
     """
     if not z > 0:  # NaN included
         raise InvalidInputError("z must be positive")
     values = {r: 0.0 for r in system.equations}
-    for _ in range(max_iterations):
+    for _ in range(MAX_FIXPOINT_ITERATIONS):
         delta = 0.0
         nxt = {}
         for r, eq in system.equations.items():
@@ -171,10 +170,10 @@ def evaluate_series(system: System, z: float,
             nxt[r] = total
             delta = max(delta, abs(total - values[r]) / max(total, 1e-300))
         values = nxt
-        if delta < tolerance:
+        if delta < NUMERIC_TOLERANCE:
             return values
     raise DivergentSeriesError(
-        f"no convergence within {max_iterations} iterations at z={z}")
+        f"no convergence within {MAX_FIXPOINT_ITERATIONS} iterations at z={z}")
 
 
 def check_boltzmann_options(z: float, window: tuple[int, int]) -> None:
@@ -205,26 +204,23 @@ def sample_boltzmann(state: SamplerState, z: float,
     for _ in range(budget):
         shape = _draw_shape(state.rng.random, table, state._start, lo, hi)
         if shape is not None:
-            return fold(shape, substitute, Perm((1,)))
+            return inflate(shape)
     raise RejectionBudgetError(
         f"no size in [{lo}, {hi}] after {budget} draws at z={z}")
 
 
 def _weight_table(system: System, values: dict[Restriction, float], z: float):
-    """Per equation, by position: its choices as (root, component indices,
-    weight), an atom first as (1, (), z), and their total; products and
-    sums run from the left, as in ``evaluate_series``."""
-    index = {r: i for i, r in enumerate(system.equations)}
+    """Per equation, by position: its choices weighted by the product of
+    their components' values, the atom's by z, and their total; products
+    and sums run from the left, as in ``evaluate_series``."""
+    def weight(term):
+        return math.prod((values[c] for c in term.args), start=1.0)
     table = []
-    for eq in system.equations.values():
-        terms = [(Perm((1,)), (), z)] if eq.has_atom else []
-        terms += [(t.root, tuple(index[c] for c in t.args),
-                   math.prod((values[c] for c in t.args), start=1.0))
-                  for t in eq.terms]
+    for choices in _choices(system, weight, z):
         total = 0.0
-        for term in terms:
-            total += term[2]
-        table.append((terms, total))
+        for choice in choices:
+            total += choice[2]
+        table.append((choices, total))
     return table
 
 

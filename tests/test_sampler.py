@@ -259,17 +259,23 @@ def test_exact_deep_chain_needs_no_recursion():
     assert sample_exact(state, 2000) == Perm(tuple(range(1, 2001)))
 
 
-def test_exact_draws_make_no_substitution(systems_one_simple, monkeypatch):
-    # An exact draw is inflated from its shape in one pass, not folded.
+@pytest.mark.parametrize("draw, window", [
+    (lambda state: sample_exact(state, 40), (40, 40)),
+    (lambda state: sample_boltzmann(state, 0.21, (20, 60)), (20, 60)),
+], ids=["exact", "boltzmann"])
+def test_draws_make_no_substitution(systems_one_simple, monkeypatch, draw,
+                                    window):
+    # Both samplers inflate their shapes in one pass; neither folds.
     def refuse(*args):
-        raise AssertionError("an exact draw folded or substituted")
+        raise AssertionError("a draw folded or substituted")
     for name in ("fold", "substitute"):
-        monkeypatch.setattr(sampler, name, refuse)
+        assert name not in vars(sampler)
         monkeypatch.setattr(perms, name, refuse)
     disjoint = systems_one_simple[1]
     state = SamplerState(disjoint, count_coefficients(disjoint, 40), seed=5)
-    draws = [sample_exact(state, 40) for _ in range(20)]
-    assert all(len(p) == 40 and avoids(p, BASIS_ONE_SIMPLE) for p in draws)
+    draws = [draw(state) for _ in range(20)]
+    assert all(window[0] <= len(p) <= window[1] and avoids(p, BASIS_ONE_SIMPLE)
+               for p in draws)
 
 
 # --- exact draws against the recursive sampler they replaced ---------------
@@ -317,7 +323,7 @@ def recursive_reference(state, n):
             remaining -= size
         return substitute(term.root, parts)
 
-    return recurse(draw(state.target, n))
+    return recurse(draw(state.system.root, n))
 
 
 # (basis, n) of every exact stream the benchmark draws.
@@ -382,7 +388,7 @@ def per_visit_reference(state, z, window, budget):
 
     for _ in range(budget):
         try:
-            p = recurse(draw(state.target, [hi]))
+            p = recurse(draw(state.system.root, [hi]))
         except _Oversize:
             continue
         if lo <= len(p) <= hi:
@@ -463,19 +469,16 @@ def test_boltzmann_streams_match_per_visit_reference(stream_systems, stream):
 
 def test_rejected_boltzmann_attempts_build_nothing(systems_one_simple,
                                                    monkeypatch):
-    # A tree with n leaves, each inner node of two or more children, has at
-    # most n - 1 inner nodes: one substitution each, if only kept draws are
-    # built.  Building every attempt as well made 11,849 calls here, against
-    # 3,029 for the kept draws (bound 3,325).
+    # Only kept draws are built, each by one inflate of its shape.
     calls = []
 
-    def counting(skeleton, args):
-        calls.append(len(args))
-        return substitute(skeleton, args)
-    monkeypatch.setattr(sampler, "substitute", counting)
+    def counting(shape):
+        calls.append(shape)
+        return perms.inflate(shape)
+    monkeypatch.setattr(sampler, "inflate", counting)
     state = SamplerState(systems_one_simple[1], seed=0)
     draws = [sample_boltzmann(state, 0.21, (50, 100)) for _ in range(50)]
-    assert 0 < len(calls) <= sum(len(p) - 1 for p in draws)
+    assert len(calls) == len(draws) == 50
 
 
 @pytest.mark.parametrize("name, z", [("W", 0.21), ("W", 0.19), ("L1", 0.35),
