@@ -40,7 +40,7 @@ def _meet(cells: list[Term], pool: list[Term]) -> list[Term]:
             if (q := intersect_terms(cell, t)) is not None]
 
 
-def disambiguate_equation(eq: Equation) -> Equation:
+def disambiguate_equation(eq: Equation, complement=None) -> Equation:
     """Make one equation's union disjoint, preserving its members.
 
     The union t_0 | t_1 | ... is rewritten as t_0, then t_1 minus t_0, then
@@ -48,9 +48,10 @@ def disambiguate_equation(eq: Equation) -> Equation:
     of every earlier term it may intersect.  Terms with different roots
     never intersect, and neither do the atom and a term (terms produce size
     >= 2 only), so an equation whose terms are pairwise statically disjoint
-    comes back unchanged.  Each term is complemented at most once.
+    comes back unchanged.  Each term is complemented at most once, by
+    ``complement``: a build's ``cache(complement_term)``, or this call's.
     """
-    terms, complement = [], cache(complement_term)
+    terms, complement = [], complement or cache(complement_term)
     for j, t in enumerate(eq.terms):
         terms += reduce(_meet, [complement(u) for u in eq.terms[:j]
                                 if intersect_terms(u, t) is not None], [t])
@@ -79,12 +80,12 @@ def disambiguate_system(system: System) -> System:
     use no unproductive nonterminal.  The root and its members are
     unchanged.
     """
-    pushes: dict = {}  # this build's avoidance pushes
+    pushes, complement = {}, cache(complement_term)  # this build's memos
 
     def disjoint(lhs: Restriction) -> Equation:
         return disambiguate_equation(
             system.equations[lhs] if lhs in system.equations
-            else restriction_equation(lhs, system.simples, pushes))
+            else restriction_equation(lhs, system.simples, pushes), complement)
 
     untrimmed = replace(system, equations=close(system.root, disjoint),
                         mode=MODE_DISJOINT)

@@ -97,6 +97,12 @@ def _neighbours(p: Perm) -> tuple[tuple[int, int], ...]:
         for j, v in enumerate(p))
 
 
+@lru_cache(maxsize=1024)
+def _value_order(p: Perm) -> tuple[int, ...]:
+    """The positions of p, from 0, in the order of their values."""
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
 @lru_cache(maxsize=None)
 def contains(perm: Perm, pattern: Perm) -> bool:
     """True when some subsequence of perm is order-isomorphic to pattern.
@@ -353,7 +359,7 @@ def inflate(shape: list) -> Perm:
             out.append(low + 1)
             continue
         lows = [0] * len(sizes)
-        for pos in sorted(range(len(sizes)), key=entry[0].__getitem__):
+        for pos in _value_order(entry[0]):
             lows[pos], low = low, low + sizes[pos]
         stack += reversed(lows)
     return Perm(out)

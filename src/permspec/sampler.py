@@ -4,11 +4,12 @@ Exact-size sampling is the recursive method (Flajolet, Zimmermann and Van
 Cutsem, "A calculus for the random generation of labelled combinatorial
 structures", TCS 1994): pick the atom or a term with probability
 proportional to its count at the current size, split the size across a
-term's components by sequential convolution weights, and go on into each
-component.  The weights are read from the count engine's suffix rows
-(``CountTable.suffix_tables``), which counting fills anyway, so the
-sampler builds no table of its own.  The result is exactly uniform over
-the class members of the requested size.
+term's components by sequential convolution weights (searched from both
+ends, boustrophedonic, for the size a scan from below picks with the same
+random number), and go on into each component.  The weights are read
+from the count engine's suffix rows (``CountTable.suffix_tables``), which
+counting fills anyway, so the sampler builds no table of its own.  The
+result is exactly uniform over the class members of the requested size.
 
 Size-randomized (Boltzmann) sampling replaces the counts by numeric
 series values at a parameter z inside the radius of convergence; the
@@ -106,8 +107,9 @@ def _exact_shape(state: SamplerState, n: int) -> list:
 
     The stack holds continuations (choice, next component, size left), the
     first a one-component choice of the root.  Each draws the component's
-    size, leaves the next continuation under it, and picks the component's
-    choice by count, so a child's whole subtree is drawn before the next
+    size (one ``randrange``, searched from both ends by ``_split_size``),
+    leaves the next continuation under it, and picks the component's choice
+    by count, so a child's whole subtree is drawn before the next
     component's size.
     """
     randrange = state.rng.randrange
@@ -117,19 +119,13 @@ def _exact_shape(state: SamplerState, n: int) -> list:
     while stack:
         choice, i, left = stack.pop()
         _, comps, suffix = choice
+        counts, choices = index[comps[i]]
         n = left
         if i < len(comps) - 1:
-            u = randrange(suffix[i][left])
-            counts, rest = index[comps[i]][0], suffix[i + 1]
-            for n in range(1, left - len(comps) + i + 2):
-                w = counts[n] * rest[left - n]
-                if u < w:
-                    break
-                u -= w
-            else:
-                raise AssertionError("inconsistent suffix tables")
+            total = suffix[i][left]
+            n = _split_size(randrange(total), total, counts, suffix[i + 1],
+                            left, left - len(comps) + i + 1)
             stack.append((choice, i + 1, left - n))
-        counts, choices = index[comps[i]]
         u = randrange(counts[n])
         for choice in choices:
             w = choice[2][0][n]
@@ -142,6 +138,22 @@ def _exact_shape(state: SamplerState, n: int) -> list:
         if choice[1]:
             stack.append((choice, 0, n))
     return shape
+
+
+def _split_size(u: int, total: int, counts, rest, left: int, top: int) -> int:
+    """The least n with u < w(1) + ... + w(n), w(n) = counts[n] * rest[left
+    - n], found from both ends in turn as the largest n with u >= total -
+    w(n) - ... - w(top): about 2 min(n, top - n + 1) weights read."""
+    head, tail = 0, total - u
+    for lo in range(1, (top + 1) // 2 + 1):
+        hi = top + 1 - lo
+        head += counts[lo] * rest[left - lo]
+        if u < head:
+            return lo
+        tail -= counts[hi] * rest[left - hi]
+        if tail <= 0:
+            return hi
+    raise AssertionError("inconsistent suffix tables")
 
 
 def evaluate_series(system: System, z: float) -> dict[Restriction, float]:

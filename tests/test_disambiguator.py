@@ -358,6 +358,22 @@ def test_systems_are_trimmed(systems_one_simple, corpus_systems):
             assert set(eq.terms) <= set(full.terms), (name, lhs.name())
 
 
+def test_each_term_is_complemented_once_per_build(systems_one_simple,
+                                                  corpus_systems, monkeypatch):
+    # One build shares one cache of complements across its equations, made
+    # on the module's name, so a patched complement_term is what runs.
+    calls = []
+    complement_term = disambiguator.complement_term
+    monkeypatch.setattr(disambiguator, "complement_term",
+                        lambda t: calls.append(t) or complement_term(t))
+    for name, (amb, dis) in {"W": systems_one_simple,
+                             "B1": corpus_systems["B1"],
+                             "B4": corpus_systems["B4"]}.items():
+        calls.clear()
+        assert disambiguate_system(amb) == dis, name
+        assert calls and len(calls) == len(set(calls)), name
+
+
 def test_growth_guard_says_how_far_the_closure_got(corpus_systems, tmp_path,
                                                    monkeypatch, capsys):
     amb, _ = corpus_systems["L1"]

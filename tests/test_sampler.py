@@ -6,6 +6,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from permspec import (
@@ -342,6 +344,67 @@ def test_exact_streams_match_recursive_reference(stream_systems, name, n):
             [recursive_reference(old, n) for _ in range(10)], seed
         # The same random calls, in the same order.
         assert new.rng.getstate() == old.rng.getstate(), seed
+
+
+# --- the two-ended size split against the linear scan it replaced ----------
+
+def linear_split(u, counts, rest, left, top):
+    """The earlier size split, kept as a reference: the least n in 1..top
+    with u < w(1) + ... + w(n), w(n) = counts[n] * rest[left - n]."""
+    for n in range(1, top + 1):
+        w = counts[n] * rest[left - n]
+        if u < w:
+            return n
+        u -= w
+    raise AssertionError("inconsistent suffix tables")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda top: st.tuples(
+    st.just(top), st.integers(0, 3),
+    st.lists(st.integers(0, 4), min_size=top + 4, max_size=top + 4),
+    st.lists(st.integers(0, 4), min_size=top + 4, max_size=top + 4))))
+@example((3, 0, [0, 0, 2, 0, 0, 0, 0], [1] * 7))   # zero weights at both ends
+@example((1, 2, [0, 5, 0, 0, 0], [0, 0, 3, 0, 0]))  # one admissible size
+@example((4, 1, [0, 1, 0, 3, 0, 0, 0, 0], [1, 2, 1, 1, 1, 1, 1, 1]))
+def test_split_size_equals_the_linear_scan(row):
+    top, extra, counts, rest = row
+    left = top + extra
+    total = sum(counts[n] * rest[left - n] for n in range(1, top + 1))
+    assume(total > 0)
+    # Every u, so each cumulative boundary and both sides of it are met.
+    for u in range(total):
+        assert sampler._split_size(u, total, counts, rest, left, top) == \
+            linear_split(u, counts, rest, left, top), u
+
+
+class CountingRow(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingRow.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("top", [1, 2, 7, 150])
+def test_split_size_reads_weights_from_both_ends(top):
+    # Size n costs at most 2 min(n, top - n + 1) weights, one read of
+    # counts each; a one-ended scan would read n of them.
+    rest = [1] * (top + 1)
+    for weights in ([1] * top, [0] + [1] * (top - 1), [2, 0, 1] * top):
+        counts = CountingRow([0] + weights[:top])
+        total = sum(weights[:top])
+        for u in range(total):
+            CountingRow.reads = 0
+            n = sampler._split_size(u, total, counts, rest, top, top)
+            assert CountingRow.reads <= 2 * min(n, top - n + 1), (u, n)
+            assert n == linear_split(u, counts, rest, top, top)
+
+
+def test_split_size_raises_when_the_ends_pass():
+    # A total above the weights' sum can leave u between head and tail.
+    with pytest.raises(AssertionError, match="inconsistent suffix tables"):
+        sampler._split_size(2, 5, [0, 1, 1, 1], [1] * 4, 3, 3)
 
 
 # --- Boltzmann draws against the per-visit sampler they replaced ------------
