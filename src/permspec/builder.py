@@ -2,7 +2,9 @@
 
 Starting point: the closure of the class decomposes every member as an
 atom, a 12 or 21 split with suitably indecomposable first part, or a
-simple-rooted inflation.  Avoidance of the non-simple basis elements is
+simple-rooted inflation (``closure_terms``, with the flavors of one table,
+``component_flavors``); the closure's own specification is the build of
+the empty basis.  Avoidance of the non-simple basis elements is
 then pushed from each equation's left side into the components of its
 terms, one excluded pattern at a time: its ``embedding_parts`` in the
 term's root become (slot, pattern bit) clauses, each embedding must be
@@ -17,7 +19,7 @@ reaches: finitely many, as all lie in the basis's pattern closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .perms import (
@@ -33,8 +35,7 @@ from .perms import (
 )
 from .restrictions import (
     FLAVOR_ALL,
-    FLAVOR_SKEW_INDEC,
-    FLAVOR_SUM_INDEC,
+    FLAVORS,
     MODE_AMBIGUOUS,
     MODE_DISJOINT,
     Equation,
@@ -43,6 +44,7 @@ from .restrictions import (
     Term,
     _interned,
     _number,
+    component_flavors,
     make_equation,
     prune_subsumed,
     term_key,
@@ -90,31 +92,17 @@ def class_input(basis: Iterable[Perm], simples: Iterable[Perm]) -> ClassInput:
 
 def closure_terms(flavor: str, simples: Sequence[Perm]) -> list[Term]:
     """The unconstrained right-side terms describing one closure flavor."""
-    full = _interned(FLAVOR_ALL, 0, 0)
-    plus = _interned(FLAVOR_SUM_INDEC, 0, 0)
-    minus = _interned(FLAVOR_SKEW_INDEC, 0, 0)
-    terms = []
-    if flavor != FLAVOR_SUM_INDEC:
-        terms.append(Term(ROOT_12, (plus, full)))
-    if flavor != FLAVOR_SKEW_INDEC:
-        terms.append(Term(ROOT_21, (minus, full)))
-    for s in sorted(simples, key=perm_key):
-        terms.append(Term(s, (full,) * len(s)))
-    return terms
+    universe = {f: _interned(f, 0, 0) for f in FLAVORS}
+    # The + (-) flavor is not 12 (21) rooted, and is that root's first part.
+    roots = [r for r in (ROOT_12, ROOT_21) if component_flavors(r)[0] != flavor]
+    return [Term(root, tuple(map(universe.__getitem__, component_flavors(root))))
+            for root in roots + sorted(simples, key=perm_key)]
 
 
 def closure_system(simples: Iterable[Perm]) -> System:
-    """The specification of the substitution closure itself.
-
-    By uniqueness of the decomposition these unions are disjoint, so the
-    result is already a combinatorial specification.
-    """
-    simples_t = class_input((), simples).simples
-    root = _interned(FLAVOR_ALL, 0, 0)
-    equations = close(root, lambda lhs: make_equation(
-        lhs, True, closure_terms(lhs.flavor, simples_t)))
-    return System(root=root, equations=equations, basis=(),
-                  simples=simples_t, mode=MODE_DISJOINT)
+    """The specification of the substitution closure: the build of the empty
+    basis, already disjoint by uniqueness of the decomposition."""
+    return replace(ambiguous_system(class_input((), simples)), mode=MODE_DISJOINT)
 
 
 def _push_avoidance(args: tuple, clauses: list) -> set[tuple]:
@@ -159,10 +147,10 @@ def add_constraints(term: Term, patterns: Iterable[Perm]) -> list[Term]:
         for t in out:
             for prof in _push_avoidance(t.args, clauses):
                 nxt.add(Term(t.root, prof))
-        out = prune_subsumed(nxt)
+        out = prune_subsumed(nxt)  # in term_key order
         if not out:
             break
-    return sorted(out, key=term_key)
+    return out
 
 
 def add_mandatory(term: Term, pattern: Perm) -> list[Term]:
@@ -241,7 +229,8 @@ def ambiguous_system(ci: ClassInput) -> System:
     """The full (possibly ambiguous) system describing the class: the
     closure of its root, or the root alone, with an empty right side, when
     the basis is {1} and the root is statically empty."""
-    root, pushes = Restriction(FLAVOR_ALL, ci.non_simple_basis), {}
+    mask = sum(1 << _number(b) for b in ci.non_simple_basis)
+    root, pushes = _interned(FLAVOR_ALL, mask, 0), {}
     equations = ({root: make_equation(root, False, ())} if root.empty else close(
         root, lambda lhs: restriction_equation(lhs, ci.simples, pushes)))
     return System(root=root, equations=equations, basis=ci.basis,

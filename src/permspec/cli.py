@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .perms import Perm, minimal_patterns
+from .perms import DEFAULT_ORACLE_CAP, Perm, minimal_patterns
 from .simples import DEFAULT_SIMPLES_CAP, SimplesResult, compute_simples
 from .builder import ambiguous_system, class_input
 from .disambiguator import disambiguate_system
@@ -107,17 +107,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the oracle cross-validation suite")
     common(p)
     p.add_argument("--max-size", type=int, default=6, metavar="N",
-                   help="verify membership up to this size, 1..10 "
-                        "(default 6)")
+                   help="verify membership up to this size, "
+                        f"1..{DEFAULT_ORACLE_CAP} (default 6)")
     return parser
 
 
-def _load_basis(path: str) -> tuple[Perm, ...]:
+def _read_perms(path: str, what: str) -> list[Perm]:
     try:
         with open(path, encoding="utf-8") as handle:
-            perms = read_perm_lines(handle.read())
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read basis file: {exc}") from None
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {what} file: {exc}") from None
+    return read_perm_lines(text)
+
+
+def _load_basis(path: str) -> tuple[Perm, ...]:
+    perms = _read_perms(path, "basis")
     if not perms:
         raise InvalidInputError("basis file holds no permutations")
     if any(len(b) < 2 for b in perms):
@@ -131,12 +136,7 @@ def _load_basis(path: str) -> tuple[Perm, ...]:
 
 def _load_simples(args, basis) -> SimplesResult:
     if getattr(args, "simples", None):
-        try:
-            with open(args.simples, encoding="utf-8") as handle:
-                perms = read_perm_lines(handle.read())
-        except OSError as exc:
-            raise InvalidInputError(f"cannot read simples file: {exc}") from None
-        found = class_input(basis, perms).simples
+        found = class_input(basis, _read_perms(args.simples, "simples")).simples
         print("warning: using simple permutations from "
               f"{args.simples}; search skipped", file=sys.stderr)
         return SimplesResult(found, True, max((len(p) for p in found), default=4))
@@ -147,8 +147,11 @@ def _load_simples(args, basis) -> SimplesResult:
 
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
 

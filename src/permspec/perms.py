@@ -3,9 +3,10 @@
 A permutation of size n is a ``Perm``: a tuple, checked on construction to
 hold each of 1..n exactly once.  This module provides the primitives
 everything else is built on: pattern containment (pairwise, and for all
-permutations up to a size by one-point deletion), intervals, simplicity,
-(generalized) substitution, the canonical decomposition tree, embeddings
-into a substitution root, and a brute-force oracle for Av(basis).
+permutations up to a size by one-point deletion), the top level of the
+canonical decomposition (``split_blocks``, from which simplicity is also
+read), (generalized) substitution, the decomposition tree, embeddings into
+a substitution root, and a brute-force oracle for Av(basis).
 
 The text form of a permutation is space separated, e.g. ``"3 1 4 2"``, so
 that sizes above 9 stay unambiguous.
@@ -162,7 +163,8 @@ def minimal_patterns(perms: Iterable[Perm]) -> tuple[Perm, ...]:
 
 @lru_cache(maxsize=None)
 def is_simple(perm: Perm) -> bool:
-    """True when perm has size >= 4 and only trivial intervals.
+    """True when perm has size >= 4 and only trivial intervals, i.e. when
+    ``split_blocks`` cuts it into singletons.
 
     An interval is a range of positions whose values are consecutive.  The
     permutations 1, 12 and 21 have only trivial intervals but do not count
@@ -171,20 +173,7 @@ def is_simple(perm: Perm) -> bool:
     >>> is_simple(Perm((3, 1, 4, 2))), is_simple(Perm((2, 1)))
     (True, False)
     """
-    n = len(perm)
-    if n < 4:
-        return False
-    for i in range(n - 1):
-        lo = hi = perm[i]
-        for j in range(i + 1, n):
-            lo = min(lo, perm[j])
-            hi = max(hi, perm[j])
-            length = j - i + 1
-            if length == n:
-                break
-            if hi - lo + 1 == length:
-                return False
-    return True
+    return len(perm) >= 4 and len(split_blocks(perm)[1]) == len(perm)
 
 
 def substitute(skeleton: Perm, args: Sequence[Perm]) -> Perm:
@@ -198,7 +187,7 @@ def substitute(skeleton: Perm, args: Sequence[Perm]) -> Perm:
     n = len(skeleton)
     offsets = [0] * n
     acc = 0
-    for pos in sorted(range(n), key=skeleton.__getitem__):
+    for pos in _value_order(skeleton):
         offsets[pos] = acc
         acc += len(args[pos])
     out: list[int] = []
@@ -236,18 +225,18 @@ def split_blocks(perm: Sequence[int]):
     n = len(perm)
     if n == 1:
         return None, ()
-    run = 0
+    # A proper prefix holding 1..k cannot also hold n-k+1..n, so the first
+    # prefix of either kind gives the split.
+    hi, lo = 0, n + 1
     for k in range(1, n):
-        if perm[k - 1] > run:
-            run = perm[k - 1]
-        if run == k:
+        if perm[k - 1] > hi:
+            hi = perm[k - 1]
+        if perm[k - 1] < lo:
+            lo = perm[k - 1]
+        if hi == k:
             return ROOT_12, ((0, k, 1), (k, n - k, k + 1))
-    run = n + 1
-    for k in range(1, n):
-        if perm[k - 1] < run:
-            run = perm[k - 1]
-        if run == n - k + 1:
-            return ROOT_21, ((0, k, run), (k, n - k, 1))
+        if lo == n - k + 1:
+            return ROOT_21, ((0, k, lo), (k, n - k, 1))
     # Neither linear case applies, so the maximal proper blocks are pairwise
     # disjoint and tile the positions; scan them greedily left to right.
     blocks: list[tuple[int, int, int]] = []
@@ -267,8 +256,9 @@ def split_blocks(perm: Sequence[int]):
                 best, low = length, lo
         blocks.append((pos, best, low))
         pos += best
+    # All singletons: perm is simple.  A coarser quotient is smaller: check it.
     skeleton = pattern_of([low for _, _, low in blocks])
-    if not is_simple(skeleton):
+    if len(blocks) < n and not is_simple(skeleton):
         raise AssertionError(f"block quotient of {list(perm)} is not simple")
     return skeleton, tuple(blocks)
 
@@ -280,9 +270,8 @@ def top_split(perm: Perm):
     Returns ``(root, children)`` where root is None for the size-1
     permutation, 12 or 21 for a linear split (children are the two parts,
     the first part suitably indecomposable), or a simple Perm whose
-    children are the patterns of its maximal proper blocks.  The parts are
-    the blocks of ``split_blocks``; a block's values form an interval, so
-    its pattern is its slice less its least value minus one.
+    children are the patterns of its maximal proper blocks, the blocks of
+    ``split_blocks``.
 
     >>> top_split(Perm((2, 1, 3, 5, 4)))
     (Perm((1, 2)), (Perm((2, 1)), Perm((1, 3, 2))))
@@ -292,8 +281,8 @@ def top_split(perm: Perm):
     (Perm((2, 4, 1, 3)), (Perm((1, 2)), Perm((1,)), Perm((2, 1)), Perm((1,))))
     """
     root, blocks = split_blocks(perm)
-    return root, tuple(Perm([v - low + 1 for v in perm[start:start + length]])
-                       for start, length, low in blocks)
+    return root, tuple(_block_pattern(perm, start, start + length)
+                       for start, length, _ in blocks)
 
 
 @dataclass(frozen=True)

@@ -186,14 +186,24 @@ def complement_restriction(r: Restriction) -> list[Restriction]:
     return sorted(out, key=restriction_key)
 
 
+def component_flavors(root: Perm) -> tuple[str, ...]:
+    """The flavors of a term's components on this root, as the canonical
+    decomposition splits it: (+, all) on 12, (-, all) on 21, all on a simple."""
+    if root == ROOT_12:
+        return FLAVOR_SUM_INDEC, FLAVOR_ALL
+    if root == ROOT_21:
+        return FLAVOR_SKEW_INDEC, FLAVOR_ALL
+    if is_simple(root):
+        return (FLAVOR_ALL,) * len(root)
+    raise ValueError(f"term root must be simple: {root}")
+
+
 @dataclass(frozen=True)
 class Term:
     """A restriction term: a root inflated with restriction components.
 
-    The root is 12, 21, or a simple permutation.  The first component
-    of a 12 (resp. 21) rooted term has the sum-indecomposable (resp.
-    skew-indecomposable) flavor, matching the canonical decomposition;
-    every other component ranges over the whole closure.
+    The root is 12, 21, or a simple permutation, and the components have
+    the flavors ``component_flavors`` gives it.
     """
 
     root: Perm
@@ -202,13 +212,7 @@ class Term:
     def __post_init__(self):
         root, args = self.root, tuple(self.args)
         object.__setattr__(self, "args", args)
-        if root in (ROOT_12, ROOT_21):
-            flavors = (FLAVOR_SUM_INDEC if root == ROOT_12 else FLAVOR_SKEW_INDEC,
-                       FLAVOR_ALL)
-        elif is_simple(root):
-            flavors = (FLAVOR_ALL,) * len(root)
-        else:
-            raise ValueError(f"term root must be simple: {root}")
+        flavors = component_flavors(root)
         if len(args) != len(flavors):
             raise ValueError("term arity does not match its root")
         if tuple(a.flavor for a in args) != flavors:

@@ -14,13 +14,16 @@ from permspec import (
     contains,
     disambiguate_system,
 )
+from permspec.builder import close, closure_terms
 from permspec.checks import (IN_CLOSURE, SKEW_DEC, SUM_DEC, Profiles,
                              check_max_size)
 from permspec.engine import count_coefficients
 from permspec.perms import (ROOT_12, ROOT_21, Embedding, avoids, embeddings,
                             gen_substitute, is_simple, pattern_of, perm_key,
                             top_split)
-from permspec.restrictions import MODE_DISJOINT, Restriction, Term, term_key
+from permspec.restrictions import (FLAVOR_ALL, MODE_DISJOINT, Restriction,
+                                   System, Term, _interned, make_equation,
+                                   term_key)
 
 # Test bases used throughout: one substitution-closed, one with an empty
 # simples set, one with a single simple permutation and a non-simple basis
@@ -331,6 +334,76 @@ def perm_walk_report(ambiguous, disjoint, max_size: int):
     return [(name, not v, "" if not v else
              f"{len(v)} violation(s); first: {v[0]}")
             for name, v in zip(names, found)]
+
+
+# --- the routines that one decomposition definition replaced ---------------
+
+def interval_scan_is_simple(perm) -> bool:
+    """Simplicity by scanning every window from each start for consecutive
+    values: how ``is_simple`` once decided it, beside ``split_blocks``."""
+    n = len(perm)
+    if n < 4:
+        return False
+    for i in range(n - 1):
+        lo = hi = perm[i]
+        for j in range(i + 1, n):
+            lo = min(lo, perm[j])
+            hi = max(hi, perm[j])
+            length = j - i + 1
+            if length == n:
+                break
+            if hi - lo + 1 == length:
+                return False
+    return True
+
+
+def two_loop_split_blocks(perm):
+    """The top split with one prefix loop for 12 and a second for 21, and
+    the quotient always checked by ``interval_scan_is_simple``: how
+    ``split_blocks`` once found it."""
+    n = len(perm)
+    if n == 1:
+        return None, ()
+    run = 0
+    for k in range(1, n):
+        run = max(run, perm[k - 1])
+        if run == k:
+            return ROOT_12, ((0, k, 1), (k, n - k, k + 1))
+    run = n + 1
+    for k in range(1, n):
+        run = min(run, perm[k - 1])
+        if run == n - k + 1:
+            return ROOT_21, ((0, k, run), (k, n - k, 1))
+    blocks: list[tuple[int, int, int]] = []
+    pos = 0
+    while pos < n:
+        best, low = 1, perm[pos]
+        lo = hi = perm[pos]
+        for j in range(pos + 1, n):
+            lo = min(lo, perm[j])
+            hi = max(hi, perm[j])
+            length = j - pos + 1
+            if length == n:
+                break
+            if hi - lo + 1 == length:
+                best, low = length, lo
+        blocks.append((pos, best, low))
+        pos += best
+    skeleton = pattern_of([low for _, _, low in blocks])
+    assert interval_scan_is_simple(skeleton)
+    return skeleton, tuple(blocks)
+
+
+def close_closure_system(simples) -> System:
+    """The closure's specification from ``close`` driven by each flavor's
+    ``closure_terms``: how ``closure_system`` once built it, beside the
+    empty-basis ``ambiguous_system``."""
+    simples_t = class_input((), simples).simples
+    root = _interned(FLAVOR_ALL, 0, 0)
+    equations = close(root, lambda lhs: make_equation(
+        lhs, True, closure_terms(lhs.flavor, simples_t)))
+    return System(root=root, equations=equations, basis=(),
+                  simples=simples_t, mode=MODE_DISJOINT)
 
 
 def _pipeline(basis, cap=8):

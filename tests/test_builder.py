@@ -28,10 +28,11 @@ from permspec.perms import (ROOT_12, ROOT_21, embedding_parts, embeddings,
                             perm_key)
 from permspec.restrictions import (_interned, _number, prune_subsumed,
                                    term_key)
+from permspec.serial import serialize_system
 
 from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
-                      _pipeline, add_mandatory_reference, pc, perms_of_size,
-                      push_avoidance_reference)
+                      _pipeline, add_mandatory_reference, close_closure_system,
+                      pc, perms_of_size, push_avoidance_reference)
 
 
 def CA(*avoid, contain=()):
@@ -85,6 +86,20 @@ def test_closure_components_are_the_interned_restrictions():
                 assert all(c is interned[c.flavor] for c in t.args), t
     eq = builder.restriction_equation(CA(), simples)
     assert all(c is interned[c.flavor] for t in eq.terms for c in t.args)
+
+
+@pytest.mark.parametrize("simples", [
+    (), ("2413", "3142"), "B1", "B3",
+    ("24153",),  # not closed: the simples 2413 and 3142 it contains are absent
+])
+def test_closure_system_is_the_empty_basis_build(simples, corpus_systems):
+    if isinstance(simples, str):
+        simples = corpus_systems[simples][0].simples
+        assert len(simples) >= 7
+    simples = [pc(s) if isinstance(s, str) else s for s in simples]
+    system, reference = closure_system(simples), close_closure_system(simples)
+    assert system == reference
+    assert serialize_system(system) == serialize_system(reference)
 
 
 def test_closure_system_rejects_non_simple():

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +117,27 @@ def test_invalid_inputs_exit_3(basis_file, capsys, tmp_path):
                  "--simples", covered]) == 3
     assert capsys.readouterr().err == (
         "error: simple permutation 3 1 4 2 contains a basis element\n")
+
+
+def test_unreadable_and_unwritable_files_exit_3(basis_file, capsys, tmp_path):
+    # An output path that cannot be opened, or an input file that is not
+    # UTF-8, is bad input, not an internal error.
+    basis = basis_file(SEPARABLE)
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"\xff3 1 4 2\n")
+    cases = {
+        ("count", "--basis", basis, "-o", str(tmp_path / "no" / "x")):
+            "error: cannot write output file: ",
+        ("spec", "--basis", basis, "-o", str(tmp_path)):
+            "error: cannot write output file: ",
+        ("spec", "--basis", str(latin)): "error: cannot read basis file: ",
+        ("spec", "--basis", basis, "--simples", str(latin)):
+            "error: cannot read simples file: ",
+    }
+    for argv, prefix in cases.items():
+        assert main(list(argv)) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(prefix), argv
 
 
 def test_out_of_range_options_exit_3(basis_file, capsys):
@@ -310,3 +335,27 @@ def test_environment_defaults(basis_file, capsys, monkeypatch):
     assert main(["count", "--basis", basis_file(SEPARABLE)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["1\t1", "2\t2", "3\t6"]
+
+
+def test_module_entry_point_exit_codes(basis_file, tmp_path):
+    # ``entry`` through a real interpreter: output and the process exit code.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "permspec.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    basis = basis_file("1 3 2\n")
+    done = run("count", "--basis", basis, "-N", "8")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "".join(f"{n}\t{c}\n" for n, c in enumerate(
+        [1, 2, 5, 14, 42, 132, 429, 1430], start=1))
+    done = run("check", "--basis", basis, "--max-size", "11")
+    assert done.returncode == 3
+    assert done.stderr == "error: oracle size 11 exceeds cap 10\n"
+    done = run("count", "--basis", basis, "-o", str(tmp_path / "no" / "x"))
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: cannot write output file: ")

@@ -35,8 +35,9 @@ from permspec.perms import (ROOT_12, ROOT_21, InvalidInputError,
 
 from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
                       any_slot_embeddings, contains_mask, cut_embeddings,
-                      every_pattern_mask, pc, perms_of_size, rank_top_split,
-                      scan_avoiders)
+                      every_pattern_mask, interval_scan_is_simple, pc,
+                      perms_of_size, rank_top_split, scan_avoiders,
+                      two_loop_split_blocks)
 
 
 # --- pattern containment ---------------------------------------------------
@@ -427,6 +428,32 @@ def test_bytes_split_matches_top_split_through_size_8():
 @example(Perm(range(40, 0, -1)))
 def test_top_split_matches_the_rank_route(p):
     assert top_split(p) == rank_top_split(p)
+
+
+def test_simplicity_and_split_match_the_old_routines_through_size_8():
+    # is_simple reads split_blocks, which finds a linear split in one
+    # prefix pass and checks only a coarser quotient for simplicity.
+    try:
+        for n in range(1, 9):
+            for p in perms_of_size(n):
+                assert is_simple(p) == interval_scan_is_simple(p), p
+                assert split_blocks(p) == two_loop_split_blocks(p), p
+                key = bytes(p)
+                assert split_blocks(key) == two_loop_split_blocks(key), p
+    finally:
+        is_simple.cache_clear()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(9, 30).flatmap(lambda n: st.permutations(range(1, n + 1)))
+       .map(Perm))
+@example(Perm((2, 4, 6, 1, 8, 3, 9, 5, 7)))         # simple
+@example(Perm((2, 4, 1, 6, 3, 8, 5, 10, 7, 9)))     # simple
+@example(Perm((5, 8, 2, 10, 4, 1, 9, 3, 7, 6)))     # not simple, no linear split
+@example(Perm((30, *range(1, 30))))
+def test_simplicity_and_split_match_the_old_routines(p):
+    assert is_simple(p) == interval_scan_is_simple(p)
+    assert split_blocks(p) == two_loop_split_blocks(p)
 
 
 # --- enumeration oracle ----------------------------------------------------
