@@ -1,10 +1,13 @@
 """Uniform random members of a class, two ways.
 
-Exact-size sampling walks the specification with choices weighted by the
-coefficient tables, so the output is exactly uniform at the requested
-size.  The size-randomized sampler instead weights choices by numeric
-series values at a parameter z; conditioned on its size the output is
-uniform, so rejecting sizes outside a window keeps uniformity.
+An exact-size draw is one random number below the class's count at the
+requested size, decoded into the member of that rank by unranking
+(Martinez and Molinero 2001), the rank form of the recursive method of
+Flajolet, Zimmermann and Van Cutsem (1994): each rank names exactly one
+member, so the output is exactly uniform.  The size-randomized sampler
+instead weights choices by numeric series values at a parameter z;
+conditioned on its size the output is uniform, so rejecting sizes outside
+a window keeps uniformity.
 """
 
 from collections import Counter

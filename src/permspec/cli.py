@@ -3,14 +3,11 @@ sequence, generating functions, random samples, or a self-check report.
 
 Exit codes: 0 success, 2 simple-permutation search truncated (downstream
 outputs refused), 3 invalid input, 4 internal error or failed self-check.
-Defaults for the search cap and counting depth can come from the
-PERMSPEC_CAP and PERMSPEC_N environment variables.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .perms import DEFAULT_ORACLE_CAP, Perm, minimal_patterns
@@ -43,16 +40,6 @@ EXIT_INVALID = 3
 EXIT_INTERNAL = 4
 
 
-def _env_int(name: str, fallback: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise InvalidInputError(f"bad {name}: {value!r}") from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permspec",
@@ -67,8 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--simples", metavar="FILE", default=None,
                            help="optional file with the class's simple "
                                 "permutations (skips the search)")
-        p.add_argument("--cap", type=int, default=None, metavar="N",
-                       help="size cap for the simple-permutation search")
+        p.add_argument("--cap", type=int, default=DEFAULT_SIMPLES_CAP,
+                       metavar="N", help="size cap for the simple-permutation "
+                       f"search (default {DEFAULT_SIMPLES_CAP})")
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable mirror of the output")
         p.add_argument("-o", "--output", metavar="FILE", default=None,
@@ -84,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="print the counting sequence")
     common(p)
-    p.add_argument("-N", type=int, default=None, metavar="DEPTH",
-                   help="largest size to count (default 40)")
+    p.add_argument("-N", type=int, default=DEFAULT_COUNT_DEPTH, metavar="DEPTH",
+                   help=f"largest size to count (default {DEFAULT_COUNT_DEPTH})")
 
     p = sub.add_parser("gf", help="print the generating-function equations")
     common(p)
@@ -140,9 +128,7 @@ def _load_simples(args, basis) -> SimplesResult:
         print("warning: using simple permutations from "
               f"{args.simples}; search skipped", file=sys.stderr)
         return SimplesResult(found, True, max((len(p) for p in found), default=4))
-    cap = args.cap if args.cap is not None else _env_int(
-        "PERMSPEC_CAP", DEFAULT_SIMPLES_CAP)
-    return compute_simples(basis, cap=cap)
+    return compute_simples(basis, cap=args.cap)
 
 
 def _emit(args, text: str) -> None:
@@ -202,9 +188,7 @@ def _cmd_spec(args) -> int:
 
 def _cmd_count(args) -> int:
     system = _specification(args)
-    depth = args.N if args.N is not None else _env_int(
-        "PERMSPEC_N", DEFAULT_COUNT_DEPTH)
-    table = count_coefficients(system, depth)
+    table = count_coefficients(system, args.N)
     if args.json:
         _emit(args, dump_json({
             "schema": JSON_SCHEMA, "kind": "counts",

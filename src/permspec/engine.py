@@ -101,8 +101,8 @@ class CountTable:
                     self._suffixes[t][0][n] for t in eq.terms)
 
     def count(self, r: Restriction, n: int) -> int:
-        if n > self.depth:
-            raise ValueError(f"size {n} exceeds table depth {self.depth}")
+        if not 0 <= n <= self.depth:
+            raise ValueError(f"size {n} outside table depth {self.depth}")
         return self.counts[r][n]
 
     def root_count(self, n: int) -> int:

@@ -1,15 +1,16 @@
 """Uniform random generation from a combinatorial specification.
 
-Exact-size sampling is the recursive method (Flajolet, Zimmermann and Van
-Cutsem, "A calculus for the random generation of labelled combinatorial
-structures", TCS 1994): pick the atom or a term with probability
-proportional to its count at the current size, split the size across a
-term's components by sequential convolution weights (searched from both
-ends, boustrophedonic, for the size a scan from below picks with the same
-random number), and go on into each component.  The weights are read
-from the count engine's suffix rows (``CountTable.suffix_tables``), which
-counting fills anyway, so the sampler builds no table of its own.  The
-result is exactly uniform over the class members of the requested size.
+An exact-size draw is one ``randrange`` below the root's count, decoded by
+unranking (Martinez and Molinero, "A generic approach for the unranking of
+labeled combinatorial classes", RSA 2001), the rank form of the recursive
+method (Flajolet, Zimmermann and Van Cutsem, "A calculus for the random
+generation of labelled combinatorial structures", TCS 1994).  A node's
+rank picks the atom or a term by count; a term's picks each component's
+size by convolution weights, searched from both ends (boustrophedonic), and
+then, by divmod, that component's rank and the rest's.  The weights are
+the count engine's suffix rows (``CountTable.suffix_tables``), so the
+sampler builds no table of its own.  Every member of the requested size has
+exactly one rank, so the draw is exactly uniform.
 
 Size-randomized (Boltzmann) sampling replaces the counts by numeric
 series values at a parameter z inside the radius of convergence; the
@@ -92,41 +93,40 @@ def _choices(system: System, weight, atom) -> list[list[tuple]]:
 
 
 def sample_exact(state: SamplerState, n: int) -> Perm:
-    """A permutation of size n, exactly uniform over the root's members."""
+    """A permutation of size n, exactly uniform over the root's members:
+    one ``randrange`` below their count, decoded by ``_exact_shape``."""
     if state.table is None:
         raise ValueError("exact sampling needs a count table")
     if n < 1 or n > state.table.depth:
         raise ValueError(f"size {n} outside table depth {state.table.depth}")
-    if state.table.root_count(n) == 0:
+    if (count := state.table.root_count(n)) == 0:
         raise EmptySizeClassError(f"no member of size {n} in {state.system.root}")
-    return inflate(_exact_shape(state, n))
+    return inflate(_exact_shape(state, n, state.rng.randrange(count)))
 
 
-def _exact_shape(state: SamplerState, n: int) -> list:
-    """One exact draw's choices in preorder.
+def _exact_shape(state: SamplerState, n: int, rank: int) -> list:
+    """The preorder choices of the root's size-n member of this rank.
 
-    The stack holds continuations (choice, next component, size left), the
-    first a one-component choice of the root.  Each draws the component's
-    size (one ``randrange``, searched from both ends by ``_split_size``),
-    leaves the next continuation under it, and picks the component's choice
-    by count, so a child's whole subtree is drawn before the next
-    component's size.
+    The stack holds continuations (choice, next component, size left,
+    rank), the first a one-component choice of the root.  Each finds the
+    component's size (searched from both ends by ``_split_size``), splits
+    the rank by divmod, leaves the rest's continuation under it, and picks
+    the component's choice by count, so a child's whole subtree is decoded
+    before the next component's size.
     """
-    randrange = state.rng.randrange
     index = state._index
     shape = []
-    stack = [((None, (state._start,), None), 0, n)]
+    stack = [((None, (state._start,), None), 0, n, rank)]
     while stack:
-        choice, i, left = stack.pop()
+        choice, i, left, u = stack.pop()
         _, comps, suffix = choice
         counts, choices = index[comps[i]]
         n = left
         if i < len(comps) - 1:
-            total = suffix[i][left]
-            n = _split_size(randrange(total), total, counts, suffix[i + 1],
-                            left, left - len(comps) + i + 1)
-            stack.append((choice, i + 1, left - n))
-        u = randrange(counts[n])
+            n, u = _split_size(u, suffix[i][left], counts, suffix[i + 1],
+                               left, left - len(comps) + i + 1)
+            u, rest = divmod(u, suffix[i + 1][left - n])
+            stack.append((choice, i + 1, left - n, rest))
         for choice in choices:
             w = choice[2][0][n]
             if u < w:
@@ -136,23 +136,24 @@ def _exact_shape(state: SamplerState, n: int) -> list:
             raise AssertionError(f"inconsistent counts at size {n}")
         shape.append(choice)
         if choice[1]:
-            stack.append((choice, 0, n))
+            stack.append((choice, 0, n, u))
     return shape
 
 
-def _split_size(u: int, total: int, counts, rest, left: int, top: int) -> int:
+def _split_size(u: int, total: int, counts, rest, left: int, top: int):
     """The least n with u < w(1) + ... + w(n), w(n) = counts[n] * rest[left
-    - n], found from both ends in turn as the largest n with u >= total -
-    w(n) - ... - w(top): about 2 min(n, top - n + 1) weights read."""
-    head, tail = 0, total - u
+    - n], and u's offset in w(n), found from both ends in turn: about
+    2 min(n, top - n + 1) weights read."""
+    tail = total - u
     for lo in range(1, (top + 1) // 2 + 1):
         hi = top + 1 - lo
-        head += counts[lo] * rest[left - lo]
-        if u < head:
-            return lo
+        w = counts[lo] * rest[left - lo]
+        if u < w:
+            return lo, u
+        u -= w
         tail -= counts[hi] * rest[left - hi]
         if tail <= 0:
-            return hi
+            return hi, -tail
     raise AssertionError("inconsistent suffix tables")
 
 

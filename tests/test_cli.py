@@ -330,13 +330,6 @@ def test_output_file(basis_file, tmp_path, capsys):
     assert target.read_text().splitlines()[-1] == "4\t22"
 
 
-def test_environment_defaults(basis_file, capsys, monkeypatch):
-    monkeypatch.setenv("PERMSPEC_N", "3")
-    assert main(["count", "--basis", basis_file(SEPARABLE)]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines() == ["1\t1", "2\t2", "3\t6"]
-
-
 def test_module_entry_point_exit_codes(basis_file, tmp_path):
     # ``entry`` through a real interpreter: output and the process exit code.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

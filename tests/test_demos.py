@@ -14,6 +14,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # sha256 of each demo's stdout.  Two runs of each demo gave equal digests;
 # a change to any printed specification, count, tree or sample shows here.
+# Demo 05's was recaptured when an exact draw became the decode of one
+# rank, after the rank bijection, chi-square and reference tests passed:
+# its exact draws differ, and so do the size-randomized draws after them,
+# which share the seeded state.
 STDOUT_SHA256 = {
     "01_patterns_and_trees.py":
         "3e5c401250a630f4e9a596bbd8f849683b69db72a58c3c591bd092b5b871c212",
@@ -24,7 +28,7 @@ STDOUT_SHA256 = {
     "04_counting_and_series.py":
         "b0ee0bdd8d538f0de011a37b08bae563df453bc91102fb5bcf31eb7afbd37670",
     "05_random_sampling.py":
-        "08d885dbf4e8d5656518233bf7993c503f6d1d26b26af2ed0965cc79cf282faa",
+        "285b9594e014154e5cbe8c122d557dff060149a6548213a0b7e28531f2b83f6d",
 }
 
 

@@ -83,6 +83,19 @@ def test_table_depth_is_enforced(systems_132):
         table.root_count(6)
 
 
+def test_negative_size_is_refused(systems_132):
+    # A negative size would index the row from its end: root_count(-1) at
+    # depth 6 read the count at size 6, 132.
+    disjoint = systems_132[1]
+    table = count_coefficients(disjoint, 6)
+    assert table.root_count(0) == table.count(disjoint.root, 0) == 0
+    for n in (-1, -6, -7):
+        with pytest.raises(ValueError, match=f"size {n} outside"):
+            table.root_count(n)
+        with pytest.raises(ValueError, match=f"size {n} outside"):
+            table.count(disjoint.root, n)
+
+
 def test_suffix_tables_agree_with_counts(systems_one_simple):
     _, disjoint = systems_one_simple
     table = count_coefficients(disjoint, 7)

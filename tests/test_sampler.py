@@ -3,6 +3,7 @@ size-randomized sampler's numeric oracle."""
 
 import hashlib
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -18,6 +19,7 @@ from permspec import (
     SamplerState,
     ambiguous_system,
     class_input,
+    compute_simples,
     count_coefficients,
     disambiguate_system,
     enumerate_avoiders,
@@ -26,9 +28,9 @@ from permspec import (
     sample_exact,
 )
 from permspec import perms, sampler
-from permspec.perms import InvalidInputError, avoids, substitute
+from permspec.perms import InvalidInputError, avoids, inflate, substitute
 
-from conftest import BASIS_132, BASIS_ONE_SIMPLE, pc, recurse
+from conftest import BASIS_132, BASIS_ONE_SIMPLE, CORPUS, pc, recurse
 
 
 @pytest.fixture(scope="module")
@@ -192,30 +194,31 @@ def test_boltzmann_rejection_budget():
 
 
 def test_worked_exact_stream_is_pinned(systems_one_simple):
-    # Recaptured when each equation became "every term minus the earlier
-    # ones" (a smaller specification of the same class), after the new
-    # specification passed run_check at size 7, matched the earlier root
-    # counts to n=40 and passed the uniformity tests: the same seed must
-    # keep giving the same draws.
+    # Recaptured when a draw became the decode of one rank: every rank
+    # below count(n) decoded to a distinct member up to size 8, the
+    # chi-square tests passed and the draws matched the recursive decode,
+    # but one randrange per draw instead of one per node and split gives
+    # other draws.  From here on the same seed must keep giving these.
     _, disjoint = systems_one_simple
     state = SamplerState(disjoint, count_coefficients(disjoint, 20), seed=0)
     assert [str(sample_exact(state, 20)) for _ in range(10)] == [
-        "20 18 17 13 14 11 10 15 12 9 16 7 8 6 19 5 4 2 1 3",
-        "17 16 19 18 20 15 14 13 1 11 9 7 8 10 4 5 6 12 3 2",
-        "16 12 13 11 14 9 6 7 5 8 4 10 15 2 17 3 1 18 19 20",
-        "12 18 15 14 16 17 13 6 19 20 8 9 10 11 7 4 2 3 5 1",
-        "16 11 9 10 8 7 12 13 14 15 6 17 5 18 19 3 2 4 1 20",
-        "20 17 16 13 12 14 15 11 18 19 10 6 5 2 8 7 9 3 4 1",
-        "1 17 18 15 11 10 12 13 14 9 16 19 7 8 6 4 5 20 3 2",
-        "15 16 17 14 9 11 12 10 8 6 7 13 18 19 3 5 4 1 20 2",
-        "12 11 16 14 15 13 17 10 7 6 9 8 5 18 4 19 20 1 3 2",
-        "16 17 11 15 14 12 13 18 19 10 9 6 5 7 8 3 20 4 2 1",
+        "19 20 12 13 14 11 15 1 16 17 7 8 4 5 6 9 2 3 10 18",
+        "13 12 11 10 17 18 15 14 16 4 9 7 8 6 5 3 1 2 19 20",
+        "17 19 18 16 20 15 12 10 8 7 6 9 11 4 3 5 13 14 2 1",
+        "20 16 17 18 11 10 13 12 7 8 9 3 4 5 6 14 15 19 2 1",
+        "20 16 18 17 13 15 14 10 4 7 5 6 2 8 3 9 1 11 12 19",
+        "16 12 18 19 17 15 14 13 8 5 6 7 9 10 4 2 1 3 11 20",
+        "18 17 16 15 13 19 14 11 9 8 7 5 6 10 2 4 3 1 12 20",
+        "17 19 18 13 2 12 6 5 7 8 9 10 4 11 3 1 14 15 16 20",
+        "19 3 13 11 8 9 10 12 7 14 15 16 5 6 17 4 18 1 20 2",
+        "16 15 18 19 17 14 13 20 11 10 5 1 8 7 9 6 3 2 4 12",
     ]
 
 
 def test_worked_boltzmann_stream_is_pinned(systems_one_simple):
-    # Recaptured together with the exact stream above: the same seed must
-    # keep giving the same draws, rejections included.
+    # Captured together with the earlier exact stream pin, on a state of
+    # its own: the same seed must keep giving the same draws, rejections
+    # included.
     _, disjoint = systems_one_simple
     state = SamplerState(disjoint, count_coefficients(disjoint, 20), seed=0)
     assert [str(sample_boltzmann(state, 0.19, (10, 40)))
@@ -280,17 +283,19 @@ def test_draws_make_no_substitution(systems_one_simple, monkeypatch, draw,
                for p in draws)
 
 
-# --- exact draws against the recursive sampler they replaced ---------------
+# --- exact draws against a recursive decode of the same rank ---------------
 
 def recursive_reference(state, n):
-    """The earlier exact sampler, kept as a reference: generators on
-    ``recurse``, one per equation visit and one per term, drawing from
-    ``state.rng`` and building each term by ``substitute``."""
+    """An exact draw decoded recursively, kept as a reference: one
+    ``randrange`` below the root's count from ``state.rng``, decoded by
+    generators on ``recurse``, one per equation visit and one per term,
+    each size found by ``linear_split``, the offset in its block split by
+    divmod (the component's rank first), and each term built by
+    ``substitute``."""
     table = state.table
 
-    def draw(r, n):
+    def decode(r, n, u):
         eq = state.system.equations[r]
-        u = state.rng.randrange(table.count(r, n))
         if eq.has_atom and n == 1:
             if u < 1:
                 return Perm((1,))
@@ -298,34 +303,28 @@ def recursive_reference(state, n):
         for term in eq.terms:
             w = table.suffix_tables(term)[0][n]
             if u < w:
-                return (yield from draw_term(term, n))
+                return (yield from decode_term(term, n, u))
             u -= w
         raise AssertionError(f"inconsistent counts for {r} at size {n}")
 
-    def draw_term(term, n):
+    def decode_term(term, n, u):
         suffix = table.suffix_tables(term)
         k = len(term.args)
         parts = []
         remaining = n
         for i, comp in enumerate(term.args):
             if i == k - 1:
-                size = remaining
+                size, rank = remaining, u
             else:
-                u = state.rng.randrange(suffix[i][remaining])
-                comp_counts = table.counts[comp]
-                for m in range(1, remaining - (k - 1 - i) + 1):
-                    w = comp_counts[m] * suffix[i + 1][remaining - m]
-                    if u < w:
-                        size = m
-                        break
-                    u -= w
-                else:
-                    raise AssertionError("inconsistent suffix tables")
-            parts.append((yield draw(comp, size)))
+                size, u = linear_split(u, table.counts[comp], suffix[i + 1],
+                                       remaining, remaining - (k - 1 - i))
+                rank, u = divmod(u, suffix[i + 1][remaining - size])
+            parts.append((yield decode(comp, size, rank)))
             remaining -= size
         return substitute(term.root, parts)
 
-    return recurse(draw(state.system.root, n))
+    root = state.system.root
+    return recurse(decode(root, n, state.rng.randrange(table.count(root, n))))
 
 
 # (basis, n) of every exact stream the benchmark draws.
@@ -339,22 +338,47 @@ def test_exact_streams_match_recursive_reference(stream_systems, name, n):
     table = count_coefficients(system, n)
     for seed in range(5):
         new = SamplerState(system, table, seed=seed)
-        old = SamplerState(system, table, seed=seed)
+        ref = SamplerState(system, table, seed=seed)
         assert [sample_exact(new, n) for _ in range(10)] == \
-            [recursive_reference(old, n) for _ in range(10)], seed
-        # The same random calls, in the same order.
-        assert new.rng.getstate() == old.rng.getstate(), seed
+            [recursive_reference(ref, n) for _ in range(10)], seed
+        # The same random calls, in the same order: one randrange below the
+        # count per draw.
+        fresh = random.Random(seed)
+        for _ in range(10):
+            fresh.randrange(table.root_count(n))
+        assert new.rng.getstate() == ref.rng.getstate() == fresh.getstate(), \
+            seed
+
+
+def test_every_rank_decodes_to_a_distinct_member(all_systems, corpus_systems):
+    # The ranks below count(n) and the class's members of size n correspond
+    # one to one, so one uniform rank is one uniform member.  Av(321, 12345)
+    # has 58 simples, the largest build, and is decoded up to size 7.
+    cases = [(tuple(pc(b) for b in CORPUS[name]), dis, 8)
+             for name, (_, dis) in corpus_systems.items()]
+    cases += [(basis, dis, 8) for basis, (_, dis) in all_systems.items()]
+    basis = (pc("321"), pc("12345"))
+    amb = ambiguous_system(class_input(basis, compute_simples(basis).simples))
+    cases.append((basis, disambiguate_system(amb), 7))
+    for basis, system, top in cases:
+        table = count_coefficients(system, top)
+        state = SamplerState(system, table, seed=0)
+        for n in range(1, top + 1):
+            decoded = sorted(inflate(sampler._exact_shape(state, n, rank))
+                             for rank in range(table.root_count(n)))
+            assert decoded == enumerate_avoiders(basis, n), (basis, n)
 
 
 # --- the two-ended size split against the linear scan it replaced ----------
 
 def linear_split(u, counts, rest, left, top):
     """The earlier size split, kept as a reference: the least n in 1..top
-    with u < w(1) + ... + w(n), w(n) = counts[n] * rest[left - n]."""
+    with u < w(1) + ... + w(n), w(n) = counts[n] * rest[left - n], and
+    what is left of u, u - w(1) - ... - w(n - 1)."""
     for n in range(1, top + 1):
         w = counts[n] * rest[left - n]
         if u < w:
-            return n
+            return n, u
         u -= w
     raise AssertionError("inconsistent suffix tables")
 
@@ -396,9 +420,9 @@ def test_split_size_reads_weights_from_both_ends(top):
         total = sum(weights[:top])
         for u in range(total):
             CountingRow.reads = 0
-            n = sampler._split_size(u, total, counts, rest, top, top)
+            n = sampler._split_size(u, total, counts, rest, top, top)[0]
             assert CountingRow.reads <= 2 * min(n, top - n + 1), (u, n)
-            assert n == linear_split(u, counts, rest, top, top)
+            assert n == linear_split(u, counts, rest, top, top)[0]
 
 
 def test_split_size_raises_when_the_ends_pass():
