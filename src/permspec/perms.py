@@ -475,12 +475,12 @@ def pattern_masks(bits: dict[Perm, int], max_size: int,
     (keep gives None outside it), in ``perm_key`` order; mask is the OR of
     ``bits[q]`` over all q <= p, from p's one-point deletions.  Size n puts
     n at each position of each key kept at size n - 1, and drops those
-    with a one-point deletion not kept.
+    with a one-point deletion not kept; patterns past max_size hold in none.
 
     >>> [m for _, m in pattern_masks({Perm((1, 2)): 1}, 3)]
     [0, 1, 0, 1, 1, 1, 1, 1, 0]
     """
-    own, level = {bytes(q): bits[q] for q in bits}, {b"": 0}
+    own, level = {bytes(q): bits[q] for q in bits if len(q) <= max_size}, {b"": 0}
     for n in range(1, max_size + 1):
         top = bytes((n,))
         cuts = [(bytes((x,)), bytes(v - (v > x) for v in range(256)))

@@ -15,12 +15,13 @@ containment constraints and back.  The algebra runs on masks over one
 numbering of the constraint patterns, each numbered on first sight with
 the mask of the numbered patterns it properly contains (never its whole
 down-closure); intersection is an OR plus one intern-table lookup.
+Equal restrictions are one object, compared and hashed by identity.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .perms import (
@@ -87,7 +88,6 @@ def _covered(mask: int) -> int:
 _INTERN: dict[tuple[str, int, int], "Restriction"] = {}
 
 
-@dataclass(frozen=True, eq=False)
 class Restriction:
     """Members of the closure universe (of one flavor) avoiding every
     pattern in ``avoid`` and containing every pattern in ``contain``.
@@ -96,46 +96,33 @@ class Restriction:
     contain set keeps only maximal ones and drops the size-1 pattern (every
     member contains it), and both are sorted.  ``empty`` flags restrictions
     that are statically known to denote the empty set; the flag is sound
-    but not complete.  Normalization, equality and hashing work on masks
-    over the module's pattern numbering; the first restriction with given
-    masks is interned, and equal ones built later copy its fields.
+    but not complete.  Every route to a restriction ends in ``_interned``,
+    which makes each one once, so equal restrictions are one object and
+    equality and hashing are identity.
     """
 
-    flavor: str
-    avoid: tuple[Perm, ...] = ()
-    contain: tuple[Perm, ...] = ()
-    empty: bool = field(init=False, default=False)
-    avoid_mask: int = field(init=False, repr=False, default=0)
-    contain_mask: int = field(init=False, repr=False, default=0)
+    __slots__ = ("flavor", "avoid", "contain", "empty", "avoid_mask",
+                 "contain_mask", "_key")
+
+    def __new__(cls, flavor: str, avoid: Iterable[Perm] = (),
+                contain: Iterable[Perm] = ()) -> Restriction:
+        if flavor not in FLAVORS:
+            raise ValueError(f"bad flavor: {flavor!r}")
+        return _interned(flavor, sum({1 << _number(e) for e in avoid}),
+                         sum({1 << _number(a) for a in contain}))
 
     def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"bad flavor: {self.flavor!r}")
-        raw = (self.flavor, sum({1 << _number(e) for e in self.avoid}),
-               sum({1 << _number(a) for a in self.contain}))
-        if raw not in _INTERN:
-            avoid, contain = raw[1], raw[2] & ~_ATOM
-            avoid &= ~sum(1 << i for i in _bits(avoid) if _BELOW[i] & avoid)
-            ident = (self.flavor, avoid, contain & ~_covered(contain))
-            _INTERN[raw] = _INTERN.setdefault(ident, self)
-        if _INTERN[raw] is not self:
-            self.__dict__.update(_INTERN[raw].__dict__)
-            return
-        _, avoid, contain = ident
-        normal = [tuple(sorted(map(_PATTERNS.__getitem__, _bits(m)), key=perm_key))
-                  for m in (avoid, contain)]
-        self.__dict__.update(
-            avoid=normal[0], contain=normal[1], avoid_mask=avoid,
-            contain_mask=contain, _ident=ident, _hash=hash(ident),
-            empty=bool(avoid & (_ATOM | contain | _covered(contain))),
-            _key=(FLAVORS.index(self.flavor),
-                  *(tuple(map(perm_key, ps)) for ps in normal)))
+        """Fill the fields derived from the flavor and normalized masks."""
+        avoid, contain = self.avoid_mask, self.contain_mask
+        self.avoid, self.contain = normal = [tuple(sorted(
+            map(_PATTERNS.__getitem__, _bits(m)), key=perm_key))
+            for m in (avoid, contain)]
+        self.empty = bool(avoid & (_ATOM | contain | _covered(contain)))
+        self._key = (FLAVORS.index(self.flavor),
+                     *(tuple(map(perm_key, ps)) for ps in normal))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Restriction) and self._ident == other._ident
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Restriction, (self.flavor, self.avoid, self.contain)
 
     def name(self) -> str:
         """Canonical text form, e.g. ``C+<1 2>()`` or ``C<2 1>(1 3 2)``."""
@@ -143,8 +130,7 @@ class Restriction:
                 + "<" + ";".join(str(e) for e in self.avoid) + ">"
                 + "(" + ";".join(str(a) for a in self.contain) + ")")
 
-    def __str__(self) -> str:
-        return self.name()
+    __str__ = __repr__ = name
 
 
 def restriction_key(r: Restriction) -> tuple:
@@ -152,9 +138,17 @@ def restriction_key(r: Restriction) -> tuple:
 
 
 def _interned(flavor: str, avoid: int, contain: int) -> Restriction:
-    """The restriction with these pattern masks, normalized or not."""
-    return _INTERN.get((flavor, avoid, contain)) or Restriction(flavor, *[
-        tuple(map(_PATTERNS.__getitem__, _bits(m))) for m in (avoid, contain)])
+    """The one restriction with these pattern masks, normalized or not."""
+    if (raw := (flavor, avoid, contain)) not in _INTERN:
+        avoid &= ~sum(1 << i for i in _bits(avoid) if _BELOW[i] & avoid)
+        contain &= ~_ATOM
+        ident = (flavor, avoid, contain & ~_covered(contain))
+        if ident not in _INTERN:
+            r = _INTERN[ident] = object.__new__(Restriction)
+            r.flavor, r.avoid_mask, r.contain_mask = ident
+            r.__post_init__()
+        _INTERN[raw] = _INTERN[ident]
+    return _INTERN[raw]
 
 
 def intersect_restrictions(r1: Restriction, r2: Restriction) -> Restriction:
@@ -346,9 +340,9 @@ class System:
 
 
 # ---------------------------------------------------------------------------
-# Membership oracle.  Directly decides whether a permutation belongs to a
-# restriction, term, or equation right side, from the decomposition tree.
-# Used by the cross-validation checks and the test suite.
+# Membership oracle: decides from the decomposition tree whether a
+# permutation lies in a restriction, term or equation right side.  It is
+# the tests' plain reference and the tracer's ``in_restriction`` hook.
 
 def in_closure(p: Perm, simples: frozenset[Perm]) -> bool:
     """True when every internal tree label of p is 12, 21, or a listed simple."""

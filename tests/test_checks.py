@@ -20,7 +20,8 @@ from permspec.checks import (
     run_check,
 )
 from permspec.perms import (DEFAULT_ORACLE_CAP, contains, embeddings,
-                            is_simple, pattern_masks, top_split, tree_labels)
+                            enumerate_avoiders, is_simple, pattern_masks,
+                            top_split, tree_labels)
 from permspec.restrictions import (
     MODE_DISJOINT,
     Equation,
@@ -316,3 +317,15 @@ def test_count_violations_keeps_the_oracle_cap(systems_132, monkeypatch):
     with pytest.raises(InvalidInputError):
         count_violations(dis, dis.basis, DEFAULT_ORACLE_CAP + 1)
     assert walks == [5]
+
+
+def test_walks_skip_patterns_longer_than_the_walk(systems_132):
+    # No permutation the walk lists holds a longer basis element, and its
+    # byte keys cannot spell one with a value past 255.
+    long = Perm(tuple(range(1, 301)))
+    for n in range(1, 7):
+        assert enumerate_avoiders([Perm((1, 3, 2)), long], n) == \
+            enumerate_avoiders([Perm((1, 3, 2))], n)
+    _, dis = systems_132
+    assert count_violations(dis, (*dis.basis, long), 6) == \
+        count_violations(dis, dis.basis, 6) == []

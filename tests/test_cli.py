@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from permspec import cli, count_coefficients, parse_system
+from permspec import cli, count_coefficients, parse_system, serialize_system
 from permspec.checks import check_max_size
 from permspec.cli import main
+
+from conftest import CORPUS
 
 ONE_SIMPLE = "1 2 4 3\n2 4 1 3\n5 3 1 6 4 2\n4 1 3 5 2\n"
 SEPARABLE = "2 4 1 3\n3 1 4 2\n"
@@ -352,3 +354,20 @@ def test_module_entry_point_exit_codes(basis_file, tmp_path):
     done = run("count", "--basis", basis, "-o", str(tmp_path / "no" / "x"))
     assert done.returncode == 3
     assert done.stderr.startswith("error: cannot write output file: ")
+
+
+def test_spec_text_does_not_depend_on_hash_order(basis_file, corpus_systems):
+    # Restrictions hash by identity, so set order follows memory addresses
+    # as well as the hash seed; the spec text must follow neither.
+    basis = basis_file("".join(f"{' '.join(b)}\n" for b in CORPUS["B1"]))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run(
+            [sys.executable, "-m", "permspec.cli", "spec", "--basis", basis],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] == serialize_system(corpus_systems["B1"][1])

@@ -1,6 +1,8 @@
 """Restriction algebra: normalization, intersection, complement, membership."""
 
+import copy
 import itertools
+import pickle
 import random
 import time
 
@@ -27,6 +29,7 @@ from permspec import (
 from permspec import perms, restrictions
 from permspec.perms import ROOT_12, ROOT_21, perm_key
 from permspec.restrictions import prune_subsumed, restriction_leq, term_leq
+from permspec.serial import parse_restriction_name
 
 from conftest import pc, perms_of_size
 
@@ -362,3 +365,45 @@ def test_large_pattern_numbers_without_its_down_closure():
     assert time.perf_counter() - start < 1.0
     assert r.avoid == (big,) and not r.empty
     assert len(restrictions._PATTERNS) == numbered + 1
+
+
+def _clear_perms_caches():
+    for value in vars(perms).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@settings(max_examples=200, deadline=None)
+@given(flavor=_flavors, avoid=_patterns, contain=_patterns, extra=_patterns,
+       seed=st.randoms())
+def test_every_route_gives_the_one_object(flavor, avoid, contain, extra, seed):
+    # Equality is identity, so each route to a restriction must end at the
+    # one object made for its normalized masks.
+    r = Restriction(flavor, avoid, contain)
+    assert repr(r) == str(r) == r.name()
+    # Non-minimal avoided and non-maximal or size-1 mandatory patterns.
+    above = [q for q in extra if any(contains(q, e) for e in avoid)]
+    below = [q for q in extra if any(contains(m, q) for m in contain)]
+    noisy = [avoid + above, contain + below + [Perm((1,))]]
+    for patterns in noisy:
+        seed.shuffle(patterns)
+    raw = [sum({1 << restrictions._number(p) for p in ps}) for ps in noisy]
+    routes = [
+        Restriction(flavor, *noisy),
+        Restriction(flavor, r.avoid, r.contain),
+        restrictions._interned(flavor, *raw),
+        restrictions._interned(flavor, r.avoid_mask, r.contain_mask),
+        intersect_restrictions(Restriction(flavor, avoid),
+                               Restriction(flavor, (), contain)),
+        intersect_restrictions(r, Restriction(flavor)),
+        parse_restriction_name(r.name()),
+        copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r)),
+    ]
+    assert all(other is r for other in routes)
+    for cell in [] if r.empty else complement_restriction(r):
+        assert Restriction(flavor, cell.avoid, cell.contain) is cell
+        assert parse_restriction_name(cell.name()) is cell
+    _clear_perms_caches()
+    assert Restriction(flavor, *noisy) is r
+    assert restrictions._interned(flavor, *raw) is r
+    assert parse_restriction_name(r.name()) is r
