@@ -1,6 +1,10 @@
 """Batch front end: from a basis file to simples, specification, counting
 sequence, generating functions, random samples, or a self-check report.
 
+Each subcommand builds its result, an exit code with a JSON payload and a
+text, and ``main`` writes it once: the payload (stamped with the schema)
+under ``--json``, else the text, to standard output or to ``-o``.
+
 Exit codes: 0 success, 2 simple-permutation search truncated (downstream
 outputs refused), 3 invalid input, 4 internal error or failed self-check.
 """
@@ -11,7 +15,7 @@ import argparse
 import sys
 
 from .perms import DEFAULT_ORACLE_CAP, Perm, minimal_patterns
-from .simples import DEFAULT_SIMPLES_CAP, SimplesResult, compute_simples
+from .simples import DEFAULT_SIMPLES_CAP, compute_simples
 from .builder import ambiguous_system, class_input
 from .disambiguator import disambiguate_system
 from .engine import DEFAULT_COUNT_DEPTH, count_coefficients, emit_gf_equations
@@ -47,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "classes given by excluded patterns.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_class=True):
+    def common(p, run, needs_class=True):
+        p.set_defaults(run=run)
         p.add_argument("--basis", required=True, metavar="FILE",
                        help="basis file: one permutation literal per line")
         if needs_class:
@@ -63,23 +68,23 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write to FILE instead of standard output")
 
     p = sub.add_parser("simples", help="list the simple permutations of the class")
-    common(p, needs_class=False)
+    common(p, _cmd_simples, needs_class=False)
 
     p = sub.add_parser("spec", help="print the combinatorial specification")
-    common(p)
+    common(p, _cmd_spec)
     p.add_argument("--ambiguous", action="store_true",
                    help="stop before disambiguation")
 
     p = sub.add_parser("count", help="print the counting sequence")
-    common(p)
+    common(p, _cmd_count)
     p.add_argument("-N", type=int, default=DEFAULT_COUNT_DEPTH, metavar="DEPTH",
                    help=f"largest size to count (default {DEFAULT_COUNT_DEPTH})")
 
     p = sub.add_parser("gf", help="print the generating-function equations")
-    common(p)
+    common(p, _cmd_gf)
 
     p = sub.add_parser("sample", help="print uniform random members")
-    common(p)
+    common(p, _cmd_sample)
     p.add_argument("-n", type=int, required=True, metavar="SIZE",
                    help="target size")
     p.add_argument("--count", type=int, default=1, metavar="K",
@@ -93,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default n:n)")
 
     p = sub.add_parser("check", help="run the oracle cross-validation suite")
-    common(p)
+    common(p, _cmd_check)
     p.add_argument("--max-size", type=int, default=6, metavar="N",
                    help="verify membership up to this size, "
                         f"1..{DEFAULT_ORACLE_CAP} (default 6)")
@@ -122,30 +127,27 @@ def _load_basis(path: str) -> tuple[Perm, ...]:
     return minimized
 
 
-def _load_simples(args, basis) -> SimplesResult:
-    if getattr(args, "simples", None):
-        found = class_input(basis, _read_perms(args.simples, "simples")).simples
-        print("warning: using simple permutations from "
-              f"{args.simples}; search skipped", file=sys.stderr)
-        return SimplesResult(found, True, max((len(p) for p in found), default=4))
-    return compute_simples(basis, cap=args.cap)
-
-
-def _emit(args, text: str) -> None:
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise InvalidInputError(f"cannot write output file: {exc}") from None
-    else:
+def _emit(path: str | None, text: str) -> None:
+    if path is None:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write output file: {exc}") from None
 
 
 def _ambiguous(args):
-    """The class's ambiguous system, from the basis and the simples."""
+    """The class's ambiguous system, from the basis and the simples: those
+    of the ``--simples`` file, or a search that must be complete."""
     basis = _load_basis(args.basis)
-    result = _load_simples(args, basis)
+    if args.simples is not None:
+        given = class_input(basis, _read_perms(args.simples, "simples"))
+        print("warning: using simple permutations from "
+              f"{args.simples}; search skipped", file=sys.stderr)
+        return ambiguous_system(given)
+    result = compute_simples(basis, cap=args.cap)
     if not result.complete:
         print(f"error: simple-permutation search {result.status}; "
               "rerun with a higher --cap or supply --simples", file=sys.stderr)
@@ -153,64 +155,40 @@ def _ambiguous(args):
     return ambiguous_system(class_input(basis, result.simples))
 
 
-def _specification(args):
+def _cmd_simples(args):
+    result = compute_simples(_load_basis(args.basis), cap=args.cap)
+    lines = [f"# status: {result.status}", *map(str, result.simples)]
+    return (EXIT_OK if result.complete else EXIT_TRUNCATED,
+            {"kind": "simples", "status": result.status,
+             "explored": result.explored,
+             "simples": [list(p) for p in result.simples]},
+            "\n".join(lines) + "\n")
+
+
+def _cmd_spec(args):
     system = _ambiguous(args)
-    if getattr(args, "ambiguous", False):
-        return system
-    return disambiguate_system(system)
+    if not args.ambiguous:
+        system = disambiguate_system(system)
+    return EXIT_OK, system_json(system), serialize_system(system)
 
 
-def _cmd_simples(args) -> int:
-    basis = _load_basis(args.basis)
-    result = _load_simples(args, basis)
-    if args.json:
-        _emit(args, dump_json({
-            "schema": JSON_SCHEMA, "kind": "simples",
-            "status": result.status, "explored": result.explored,
-            "simples": [list(p) for p in result.simples]}))
-    else:
-        lines = [f"# status: {result.status}"]
-        lines += [str(p) for p in result.simples]
-        _emit(args, "\n".join(lines) + "\n")
-    if not result.complete:
-        print("warning: search truncated; the listed set may be incomplete",
-              file=sys.stderr)
-        return EXIT_TRUNCATED
-    return EXIT_OK
+def _cmd_count(args):
+    system = disambiguate_system(_ambiguous(args))
+    counts = count_coefficients(system, args.N).root_counts()
+    return (EXIT_OK,
+            {"kind": "counts", "basis": [list(b) for b in system.basis],
+             "counts": {str(n): str(c) for n, c in counts}},
+            "".join(f"{n}\t{c}\n" for n, c in counts))
 
 
-def _cmd_spec(args) -> int:
-    system = _specification(args)
-    _emit(args, dump_json(system_json(system)) if args.json
-          else serialize_system(system))
-    return EXIT_OK
-
-
-def _cmd_count(args) -> int:
-    system = _specification(args)
-    table = count_coefficients(system, args.N)
-    if args.json:
-        _emit(args, dump_json({
-            "schema": JSON_SCHEMA, "kind": "counts",
-            "basis": [list(b) for b in system.basis],
-            "counts": {str(n): str(c) for n, c in table.root_counts()}}))
-    else:
-        _emit(args, "".join(f"{n}\t{c}\n" for n, c in table.root_counts()))
-    return EXIT_OK
-
-
-def _cmd_gf(args) -> int:
-    system = _specification(args)
-    gf = emit_gf_equations(system)
-    if args.json:
-        _emit(args, dump_json({
-            "schema": JSON_SCHEMA, "kind": "gf", "root": gf.root_name,
-            "equations": [{"lhs": e.name, "atom": e.has_atom,
-                           "products": [list(p) for p in e.products]}
-                          for e in gf.equations]}))
-    else:
-        _emit(args, gf.render() + "\n")
-    return EXIT_OK
+def _cmd_gf(args):
+    gf = emit_gf_equations(disambiguate_system(_ambiguous(args)))
+    return (EXIT_OK,
+            {"kind": "gf", "root": gf.root_name,
+             "equations": [{"lhs": e.name, "atom": e.has_atom,
+                            "products": [list(p) for p in e.products]}
+                           for e in gf.equations]},
+            gf.render() + "\n")
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -221,7 +199,7 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args):
     if args.n < 1:
         raise InvalidInputError("sample size must be >= 1")
     if args.count < 1:
@@ -233,7 +211,7 @@ def _cmd_sample(args) -> int:
         if args.z is None:
             raise InvalidInputError("the boltzmann method needs --z")
         check_boltzmann_options(args.z, window)
-    system = _specification(args)
+    system = disambiguate_system(_ambiguous(args))
     if args.method == "exact":
         state = SamplerState(system, count_coefficients(system, args.n),
                              seed=args.seed)
@@ -242,42 +220,23 @@ def _cmd_sample(args) -> int:
         state = SamplerState(system, seed=args.seed)
         draws = [sample_boltzmann(state, args.z, window)
                  for _ in range(args.count)]
-    if args.json:
-        _emit(args, dump_json({
-            "schema": JSON_SCHEMA, "kind": "samples", "seed": args.seed,
-            "method": args.method,
-            "samples": [list(p) for p in draws]}))
-    else:
-        _emit(args, "".join(str(p) + "\n" for p in draws))
-    return EXIT_OK
+    return (EXIT_OK,
+            {"kind": "samples", "seed": args.seed, "method": args.method,
+             "samples": [list(p) for p in draws]},
+            "".join(str(p) + "\n" for p in draws))
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     check_max_size(args.max_size)
     amb = _ambiguous(args)
-    dis = disambiguate_system(amb)
-    report = run_check(amb, dis, args.max_size)
-    if args.json:
-        _emit(args, dump_json({
-            "schema": JSON_SCHEMA, "kind": "check",
-            "max_size": args.max_size,
-            "results": [{"name": n, "passed": ok, "detail": d}
-                        for n, ok, d in report]}))
-    else:
-        lines = [f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{d}]" if d else "")
-                 for name, ok, d in report]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if all(ok for _, ok, _ in report) else EXIT_INTERNAL
-
-
-_COMMANDS = {
-    "simples": _cmd_simples,
-    "spec": _cmd_spec,
-    "count": _cmd_count,
-    "gf": _cmd_gf,
-    "sample": _cmd_sample,
-    "check": _cmd_check,
-}
+    report = run_check(amb, disambiguate_system(amb), args.max_size)
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{d}]" if d else "")
+             for name, ok, d in report]
+    return (EXIT_OK if all(ok for _, ok, _ in report) else EXIT_INTERNAL,
+            {"kind": "check", "max_size": args.max_size,
+             "results": [{"name": n, "passed": ok, "detail": d}
+                         for n, ok, d in report]},
+            "\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:
@@ -289,7 +248,9 @@ def main(argv=None) -> int:
         # latter into the invalid-input code
         return EXIT_OK if not exc.code else EXIT_INVALID
     try:
-        return _COMMANDS[args.command](args)
+        code, payload, text = args.run(args)
+        _emit(args.output, dump_json({"schema": JSON_SCHEMA, **payload})
+              if args.json else text)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (InvalidInputError, EmptySizeClassError, DivergentSeriesError,
@@ -299,6 +260,10 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    if code == EXIT_TRUNCATED:  # after the listing, which it qualifies
+        print("warning: search truncated; the listed set may be incomplete",
+              file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -371,3 +371,79 @@ def test_spec_text_does_not_depend_on_hash_order(basis_file, corpus_systems):
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1] == serialize_system(corpus_systems["B1"][1])
+
+
+# Digests of stdout for every subcommand on the worked basis, as
+# (exit code, text digest, --json digest).
+SUBCOMMAND_PINS = {
+    ("simples",): (
+        0, "98996199c69f96caa13719f835115b48e1a79ed929bb496f6d1b5ad37743177c",
+        "2db1bed62c7381540d360cbe1911cdde720a53bb8639c071eb87a038b50e2469"),
+    ("spec",): (
+        0, "796cc48692f6515a68704c31d1c6f6dab362573f6b7483ab24fbb611f8fec61e",
+        "56474ef115194a88c2d64a184f60af7f9d86bf61b57fdb440e2184bead3d399e"),
+    ("spec", "--ambiguous"): (
+        0, "7050ef6946be070177f2d04105f6402ef973c3ffb2b366e1f1153667d241d144",
+        "aeaec6bae92b65d92ae1b344463d8b64112ed3d35801e8bd911951e64716fb51"),
+    ("count", "-N", "12"): (
+        0, "dfd4dbd07b6d25bb081cdb19ee18a3041a5c3633c79039e84c19ca45e7888364",
+        "ea0ae2f5d18e016aeba7b1e8b5bc6091f932b8e9a82bbf90c41ec484375a80ff"),
+    ("gf",): (
+        0, "44c73429ccf1186b7671b7959943e165e6092b8ea11c8615e55ae1e4064c24f9",
+        "506e7ada4588e7b2361d9ad547506ad54feeb9257bb0551b2ab503e74f8005a7"),
+    ("sample", "-n", "10", "--count", "5", "--seed", "3"): (
+        0, "6021be33763a23ca7d00628312c3403b32942b294e3cb9044dbf043202bf283b",
+        "7154b4ccc27290fd04827cd46b1dcd4aff7aa57da23767bf220a3f09a0506d26"),
+    ("sample", "-n", "10", "--count", "5", "--seed", "3",
+     "--method", "boltzmann", "--z", "0.2", "--window", "5:30"): (
+        0, "a0f5b20286db8f7fc3c554d53ee460897d8874a91c829ab0bc4160c1a43ebba5",
+        "5464871ce296e7d0c815089aff369650eb39c16c5e6d1e36d33ccde09058d0f8"),
+    ("check", "--max-size", "5"): (
+        0, "fb8ad826e0239a4407f1eb74c5a72c6c5a79646e37e37e9fc2657e894e419c96",
+        "f571e880a4f2f89704c80626af82602bf1e5ff169b117f194dcbf3ed0d888e1a"),
+}
+
+
+@pytest.mark.parametrize("argv", list(SUBCOMMAND_PINS), ids=" ".join)
+def test_every_subcommand_output_is_pinned(argv, basis_file, capsys):
+    code, text_digest, json_digest = SUBCOMMAND_PINS[argv]
+    basis = basis_file(ONE_SIMPLE)
+    for extra, digest in (((), text_digest), (("--json",), json_digest)):
+        assert main([*argv, "--basis", basis, *extra]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_empty_simples_or_output_value_exits_3(basis_file, capsys):
+    # An empty value names no file: it is not the option left out.
+    basis = basis_file(ONE_SIMPLE)
+    cases = {"--simples=": "error: cannot read simples file: ",
+             "-o=": "error: cannot write output file: "}
+    for option, prefix in cases.items():
+        for extra in ((), ("--json",)):
+            assert main(["count", "--basis", basis, "-N", "4", option,
+                         *extra]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(prefix)
+
+
+def test_truncated_simples_write_first_then_warn(basis_file, capsys,
+                                                 tmp_path):
+    basis = basis_file("1 2 3\n")
+    assert main(["simples", "--basis", basis, "--cap", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:2] == ["# status: truncated at 7",
+                                             "2 4 1 3"]
+    assert captured.err == \
+        "warning: search truncated; the listed set may be incomplete\n"
+    # An output that cannot be written is the only message: no warning
+    # qualifies a listing that was never written.
+    target = tmp_path / "no" / "x"
+    with pytest.raises(OSError) as failure:
+        open(target, "w", encoding="utf-8")
+    assert main(["simples", "--basis", basis, "--cap", "7",
+                 "-o", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write output file: {failure.value}\n"
