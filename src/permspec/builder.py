@@ -13,8 +13,8 @@ one term, its components' avoid masks ORed with the chosen bits.
 Containment of a mandatory pattern is pushed into contain masks, one
 summand per embedding; ``restriction_equation`` does both and seeds every
 equation here and in the disambiguator, pushing a (root, avoid mask) once
-a build.  ``close`` gives an equation to the root restriction and to all it
-reaches: finitely many, as all lie in the basis's pattern closure.
+a build, both stages included.  ``close`` gives an equation to the root
+and all it reaches: finitely many, all in the basis's pattern closure.
 """
 
 from __future__ import annotations
@@ -116,17 +116,23 @@ def _push_avoidance(args: tuple, clauses: list) -> set[tuple]:
     """
     profiles = {args}
     for clause in clauses:
-        nxt: set[tuple[Restriction, ...]] = set()
-        for prof in profiles:
-            for slot, bit in clause:
-                r = prof[slot]
-                blocked = _interned(r.flavor, r.avoid_mask | bit, r.contain_mask)
-                if not blocked.empty:
-                    nxt.add(prof[:slot] + (blocked,) + prof[slot + 1:])
-        profiles = nxt
-        if not profiles:
+        if not (profiles := _block(profiles, clause)):
             break
     return profiles
+
+
+def _block(profiles: set, clause: list) -> set:
+    """The profiles that block one more clause, each in one of its slots."""
+    nxt = set()
+    for prof in profiles:
+        for slot, bit in clause:
+            if (r := prof[slot]).avoid_mask & bit:  # blocked there already
+                nxt.add(prof)
+                continue
+            blocked = _interned(r.flavor, r.avoid_mask | bit, r.contain_mask)
+            if not blocked.empty:
+                nxt.add(prof[:slot] + (blocked,) + prof[slot + 1:])
+    return nxt
 
 
 def add_constraints(term: Term, patterns: Iterable[Perm]) -> list[Term]:
@@ -136,18 +142,14 @@ def add_constraints(term: Term, patterns: Iterable[Perm]) -> list[Term]:
     The union may be ambiguous; it is exact, i.e. it has the same members
     as the original term restricted to avoiders of every pattern.  Terms
     statically contained in another produced term are dropped, so the
-    result lists maximal terms only.
+    result lists maximal terms only, in ``term_key`` order.
     """
-    pending = sorted(set(patterns), key=perm_key)
     out = [term]
-    for excluded in pending:
+    for excluded in sorted(set(patterns), key=perm_key):
         clauses = [[(slot, 1 << _number(q)) for slot, q in parts] for parts
                    in embedding_parts(excluded, term.root)]
-        nxt: set[Term] = set()
-        for t in out:
-            for prof in _push_avoidance(t.args, clauses):
-                nxt.add(Term(t.root, prof))
-        out = prune_subsumed(nxt)  # in term_key order
+        out = prune_subsumed(Term._trusted(t.root, prof) for t in out
+                             for prof in _push_avoidance(t.args, clauses))
         if not out:
             break
     return out
@@ -169,10 +171,8 @@ def add_mandatory(term: Term, pattern: Perm) -> list[Term]:
             r = args[slot]
             args[slot] = _interned(
                 r.flavor, r.avoid_mask, r.contain_mask | 1 << _number(q))
-            if args[slot].empty:
-                break
-        else:
-            out.add(Term(term.root, tuple(args)))
+        if not any(a.empty for a in args):
+            out.add(Term._trusted(term.root, tuple(args)))
     return sorted(out, key=term_key)
 
 
@@ -184,8 +184,8 @@ def restriction_equation(r: Restriction, simples: Iterable[Perm],
     avoided pattern down, then every mandatory pattern.  The atom survives
     only when the size-1 permutation itself satisfies the restriction,
     i.e. when no pattern is mandatory.  ``pushes`` keeps avoidance pushes
-    by (root, avoid mask), which fix them; one dict serves a whole build
-    and dies with it, so nothing outlives the build (fresh when not given).
+    by (root, avoid mask), which fix them; one dict serves both stages of a
+    build (``System.pushes``) and dies with it (fresh when not given).
     """
     if r.empty:
         raise ValueError(f"no equation for statically empty {r.name()}")
@@ -234,4 +234,4 @@ def ambiguous_system(ci: ClassInput) -> System:
     equations = ({root: make_equation(root, False, ())} if root.empty else close(
         root, lambda lhs: restriction_equation(lhs, ci.simples, pushes)))
     return System(root=root, equations=equations, basis=ci.basis,
-                  simples=ci.simples, mode=MODE_AMBIGUOUS)
+                  simples=ci.simples, mode=MODE_AMBIGUOUS, pushes=pushes)

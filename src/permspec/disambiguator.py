@@ -76,11 +76,11 @@ def disambiguate_system(system: System) -> System:
     """The trimmed combinatorial specification of the system's root.
 
     The first closure from the root makes every equation it reaches
-    disjoint; the second keeps, of each equation reached, the terms that
-    use no unproductive nonterminal.  The root and its members are
-    unchanged.
+    disjoint, pushing through the build's ``pushes``, which it then drops;
+    the second keeps, of each equation reached, the terms that use no
+    unproductive nonterminal.  The root and its members are unchanged.
     """
-    pushes, complement = {}, cache(complement_term)  # this build's memos
+    pushes, complement = system.pushes or {}, cache(complement_term)  # memos
 
     def disjoint(lhs: Restriction) -> Equation:
         return disambiguate_equation(
@@ -88,7 +88,7 @@ def disambiguate_system(system: System) -> System:
             else restriction_equation(lhs, system.simples, pushes), complement)
 
     untrimmed = replace(system, equations=close(system.root, disjoint),
-                        mode=MODE_DISJOINT)
+                        mode=MODE_DISJOINT, pushes=None)
     dead = unproductive_nonterminals(untrimmed)
 
     def trimmed(lhs: Restriction) -> Equation:

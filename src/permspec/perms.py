@@ -15,6 +15,7 @@ that sizes above 9 stay unambiguous.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -104,16 +105,27 @@ def _value_order(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
+def _longest_increasing(p: Sequence[int]) -> int:
+    """The length of p's longest increasing subsequence (patience sorting)."""
+    tails: list[int] = []
+    for v in p:
+        i = bisect_left(tails, v)
+        tails[i:i + 1] = [v]
+    return len(tails)
+
+
 @lru_cache(maxsize=None)
 def contains(perm: Perm, pattern: Perm) -> bool:
-    """True when some subsequence of perm is order-isomorphic to pattern.
+    """True when some subsequence of perm is order-isomorphic to pattern; at
+    once False when pattern has a longer monotone subsequence than perm.
 
     >>> contains(Perm.from_text("3 1 6 4 5 2"), Perm.from_text("2 4 3 1"))
     True
     >>> contains(Perm.from_text("3 1 6 4 5 2"), Perm.from_text("2 4 1 3"))
     False
     """
-    return contains_through(perm, pattern, len(perm))
+    return all(_longest_increasing(pattern[::s]) <= _longest_increasing(perm[::s])
+               for s in (1, -1)) and contains_through(perm, pattern, len(perm))
 
 
 def contains_through(perm: Sequence[int], pattern: Perm, pos: int) -> bool:

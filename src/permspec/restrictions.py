@@ -13,15 +13,15 @@ that the disambiguation step relies on.  Complements stay inside the
 closure universe of the same flavor, so avoidance constraints flip into
 containment constraints and back.  The algebra runs on masks over one
 numbering of the constraint patterns, each numbered on first sight with
-the mask of the numbered patterns it properly contains (never its whole
-down-closure); intersection is an OR plus one intern-table lookup.
+the masks of the numbered patterns below and above it; intersection is
+an OR plus one intern-table lookup, and static inclusion one mask test.
 Equal restrictions are one object, compared and hashed by identity.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .perms import (
@@ -46,23 +46,28 @@ MODE_AMBIGUOUS = "ambiguous"
 MODE_DISJOINT = "disjoint"
 
 # Bit i of a mask stands for _PATTERNS[i]; _BELOW[i] masks the numbered
-# patterns it properly contains.  Numbers are never reused or reset.
+# patterns it properly contains, _ABOVE[i] i and those containing it.
+# Numbers are never reused or reset.
 _PATTERNS: list[Perm] = []
 _NUMBER: dict[Perm, int] = {}
 _BELOW: list[int] = []
+_ABOVE: list[int] = []
 
 
 def _number(p: Perm) -> int:
     if p not in _NUMBER:
         i = _NUMBER[p] = len(_PATTERNS)
-        below = 0
+        below, above = 0, 1 << i
         for j, q in enumerate(_PATTERNS):
             if len(q) < len(p) and contains(p, q):
                 below |= 1 << j
+                _ABOVE[j] |= 1 << i
             elif len(q) > len(p) and contains(q, p):
                 _BELOW[j] |= 1 << i
+                above |= 1 << j
         _PATTERNS.append(p)
         _BELOW.append(below)
+        _ABOVE.append(above)
     return _NUMBER[p]
 
 
@@ -76,11 +81,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _covered(mask: int) -> int:
-    """The numbered patterns properly contained in some member of mask."""
+def _covered(mask: int, table: list[int] = _BELOW) -> int:
+    """The OR of ``table`` over mask's bits (the patterns below them)."""
     out = 0
     for i in _bits(mask):
-        out |= _BELOW[i]
+        out |= table[i]
     return out
 
 
@@ -204,14 +209,17 @@ class Term:
     args: tuple[Restriction, ...]
 
     def __post_init__(self):
-        root, args = self.root, tuple(self.args)
-        object.__setattr__(self, "args", args)
-        flavors = component_flavors(root)
-        if len(args) != len(flavors):
-            raise ValueError("term arity does not match its root")
-        if tuple(a.flavor for a in args) != flavors:
-            raise ValueError(f"component flavor does not fit root {root}")
-        object.__setattr__(self, "_hash", hash((root, args)))
+        args = tuple(self.args)
+        if tuple(a.flavor for a in args) != component_flavors(self.root):
+            raise ValueError(f"components do not fit root {self.root}")
+        self.__dict__.update(args=args, _hash=hash((self.root, args)))
+
+    @classmethod
+    def _trusted(cls, root: Perm, args: tuple[Restriction, ...]) -> Term:
+        """A term of components known to fit its root, made unchecked."""
+        t = object.__new__(cls)
+        t.__dict__.update(root=root, args=args, _hash=hash((root, args)))
+        return t
 
     def __hash__(self) -> int:
         return self._hash
@@ -224,8 +232,7 @@ class Term:
     def name(self) -> str:
         return self.root_text() + "[" + ", ".join(a.name() for a in self.args) + "]"
 
-    def __str__(self) -> str:
-        return self.name()
+    __str__ = name
 
 
 def term_key(t: Term) -> tuple:
@@ -240,13 +247,17 @@ def restriction_leq(r1: Restriction, r2: Restriction) -> bool:
     avoidance of E' when every pattern of E' contains one of E, and dually
     for containment.
     """
-    if r1.empty:
-        return True
-    if r1.flavor != r2.flavor or r2.empty:
-        return False
-    implied = r1.contain_mask | _covered(r1.contain_mask)
-    return not r2.contain_mask & ~implied and all(
-        (_BELOW[e] | 1 << e) & r1.avoid_mask for e in _bits(r2.avoid_mask))
+    return (r1.empty or r1.flavor == r2.flavor) and not (
+        _leq_fields(r2)[0] & ~_leq_fields(r1)[1])
+
+
+def _leq_fields(r: Restriction) -> tuple[int, int]:
+    """What r asks of one above it, its avoid and contain masks side by side,
+    and offers one below, their up- and down-closures (empty: top bit, all)."""
+    half = len(_PATTERNS) + 1  # the top bit is no pattern's
+    return (1 << 2 * half - 1, (1 << 2 * half) - 1) if r.empty else (
+        r.avoid_mask << half | r.contain_mask, _covered(r.avoid_mask, _ABOVE)
+        << half | r.contain_mask | _covered(r.contain_mask))
 
 
 def term_leq(t1: Term, t2: Term) -> bool:
@@ -256,10 +267,20 @@ def term_leq(t1: Term, t2: Term) -> bool:
 
 
 def prune_subsumed(terms: Iterable[Term]) -> list[Term]:
-    """Drop every term statically contained in another term of the union."""
-    items = sorted(set(terms), key=term_key)
-    return [t for t in items
-            if not any(u != t and term_leq(t, u) for u in items)]
+    """Drop every term statically contained in another term of the union:
+    ``term_leq`` by masks, within each root, t lying below u when u's ask,
+    its components' ``_leq_fields`` side by side, is within t's offer."""
+    if len(items := sorted(set(terms), key=term_key)) < 2:
+        return items
+    width, out = 2 * len(_PATTERNS) + 2, []
+    fields = {r: _leq_fields(r) for r in {a for t in items for a in t.args}}
+    for _, group in itertools.groupby(items, key=lambda t: t.root):
+        group = list(group)
+        asks, offers = ([sum(fields[r][side] << width * k for k, r in
+                             enumerate(t.args)) for t in group] for side in (0, 1))
+        out += [t for t, free in zip(group, map(int.__invert__, offers))
+                if sum(not ask & free for ask in asks) == 1]  # t's own
+    return out
 
 
 def intersect_terms(t1: Term, t2: Term) -> Term | None:
@@ -273,7 +294,7 @@ def intersect_terms(t1: Term, t2: Term) -> Term | None:
         return None
     args = tuple(itertools.takewhile(lambda a: not a.empty, map(
         intersect_restrictions, t1.args, t2.args)))
-    return Term(t1.root, args) if len(args) == len(t1.args) else None
+    return Term._trusted(t1.root, args) if len(args) == len(t1.args) else None
 
 
 def complement_term(t: Term) -> list[Term]:
@@ -285,7 +306,7 @@ def complement_term(t: Term) -> list[Term]:
     whole flavor universe.  That is one term per complement cell of each
     slot, sum rather than product.
     """
-    return sorted((Term(t.root, t.args[:k] + (cell,) + tuple(
+    return sorted((Term._trusted(t.root, t.args[:k] + (cell,) + tuple(
         _interned(a.flavor, 0, 0) for a in t.args[k + 1:]))
         for k, arg in enumerate(t.args)
         for cell in complement_restriction(arg)), key=term_key)
@@ -314,7 +335,8 @@ class System:
     """A closed equation system over restrictions.
 
     Every restriction occurring in any term has its own equation.  The mode
-    records whether the unions are known to be disjoint.
+    records whether the unions are known to be disjoint.  ``pushes`` hands a
+    build's push memo to its disambiguation; it is not serialized.
     """
 
     root: Restriction
@@ -322,6 +344,7 @@ class System:
     basis: tuple[Perm, ...]
     simples: tuple[Perm, ...]
     mode: str
+    pushes: dict | None = field(default=None, compare=False, repr=False)
 
     def ordered_lhs(self) -> list[Restriction]:
         """Left sides in output order: the root first, the rest canonically."""

@@ -23,7 +23,7 @@ from permspec.perms import (ROOT_12, ROOT_21, Embedding, avoids, embeddings,
                             top_split)
 from permspec.restrictions import (FLAVOR_ALL, MODE_DISJOINT, Restriction,
                                    System, Term, _interned, make_equation,
-                                   term_key)
+                                   term_key, term_leq)
 
 # Test bases used throughout: one substitution-closed, one with an empty
 # simples set, one with a single simple permutation and a non-simple basis
@@ -247,6 +247,17 @@ def add_mandatory_reference(term: Term, pattern: Perm) -> list[Term]:
         else:
             out.add(Term(term.root, tuple(args)))
     return sorted(out, key=term_key)
+
+
+# --- the pairwise prune that the mask fields replaced ------------------------
+
+def prune_subsumed_reference(terms) -> list[Term]:
+    """The terms in ``term_key`` order, each dropped when ``term_leq`` puts
+    it below another term of the union, one call per pair: how
+    ``prune_subsumed`` once pruned."""
+    items = sorted(set(terms), key=term_key)
+    return [t for t in items
+            if not any(u != t and term_leq(t, u) for u in items)]
 
 
 # --- the Perm walk that the bytes walk and the verdict memo replaced ---------

@@ -1,6 +1,8 @@
 """System construction: closure shapes, constraint propagation, closure of
 the equation set, and oracle soundness of every equation."""
 
+import hashlib
+
 import pytest
 
 from permspec import builder
@@ -28,7 +30,7 @@ from permspec.perms import (ROOT_12, ROOT_21, embedding_parts, embeddings,
                             perm_key)
 from permspec.restrictions import (_interned, _number, prune_subsumed,
                                    term_key)
-from permspec.serial import serialize_system
+from permspec.serial import parse_system, serialize_system
 
 from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
                       _pipeline, add_mandatory_reference, close_closure_system,
@@ -369,3 +371,56 @@ def test_restriction_equation_alone_equals_the_built_equations(
         for lhs, eq in amb.equations.items():
             assert builder.restriction_equation(lhs, amb.simples) == eq, \
                 (name, lhs.name())
+
+
+def test_disambiguation_pushes_only_what_the_build_did_not(monkeypatch):
+    # The ambiguous system hands its build's pushes to the disambiguation,
+    # which then pushes only for the restrictions it seeds itself: on B1
+    # none (26 of 26 repeated before), on B3 14 (190 of 204 repeated).
+    calls = []
+    add_constraints = builder.add_constraints
+
+    def spy(term, patterns):
+        calls.append((term.root, tuple(patterns)))
+        return add_constraints(term, patterns)
+
+    monkeypatch.setattr(builder, "add_constraints", spy)
+    for name, seeded in (("B1", 0), ("B3", 14)):
+        basis = tuple(map(pc, CORPUS[name]))
+        calls.clear()
+        amb = ambiguous_system(class_input(
+            basis, compute_simples(basis, cap=10).simples))
+        in_builder = set(calls)
+        calls.clear()
+        disjoint = disambiguate_system(amb)
+        assert in_builder.isdisjoint(calls) and len(calls) == seeded, name
+        assert amb.pushes and disjoint.pushes is None
+        assert parse_system(serialize_system(disjoint)) == disjoint
+
+
+# --- pushes on normalized components --------------------------------------
+
+def test_long_clause_pushes_stay_normalized(monkeypatch):
+    # Av(2413, 3142, 2 3 ... 20 1): every push is 12 or 21 rooted, and the
+    # excluded 2 3 ... 20 1 gives long clauses.  A push on tuples of raw
+    # ORed avoid masks keeps bits that interning drops, so profiles equal
+    # as restrictions stay apart: such a push holds 524,324 profiles here,
+    # not 5,752, for the same text.  The digests and the bound were taken
+    # before the build shared its pushes with the disambiguation.
+    held = [0]
+    block = builder._block
+
+    def counted(*args):
+        profiles = block(*args)
+        held[0] += len(profiles)
+        return profiles
+
+    monkeypatch.setattr(builder, "_block", counted)
+    basis = (pc("2413"), pc("3142"), Perm((*range(2, 21), 1)))
+    amb = ambiguous_system(class_input(basis, ()))
+    disjoint = disambiguate_system(amb)
+    assert [hashlib.sha256(serialize_system(s).encode()).hexdigest()
+            for s in (amb, disjoint)] == [
+        "7276378b5ea965d61dbc15756bc28fb4fe887ed8524bd70e66fdb4e4ea628974",
+        "e3b01a38b5690aa9c72d52f0099f356c005a50fb9261980dcb58067c4151c8d9"]
+    assert held[0] <= 10_388, held[0]

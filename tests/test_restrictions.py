@@ -28,10 +28,11 @@ from permspec import (
 )
 from permspec import perms, restrictions
 from permspec.perms import ROOT_12, ROOT_21, perm_key
-from permspec.restrictions import prune_subsumed, restriction_leq, term_leq
+from permspec.restrictions import (component_flavors, prune_subsumed,
+                                   restriction_leq, term_leq)
 from permspec.serial import parse_restriction_name
 
-from conftest import pc, perms_of_size
+from conftest import pc, perms_of_size, prune_subsumed_reference
 
 SIMPLES = frozenset({pc("3142")})
 
@@ -231,6 +232,48 @@ def test_prune_subsumed_keeps_maximal_terms():
     small = Term(pc("3142"), (CA("12"), CA("12"), CA("21"), CA("21")))
     assert term_leq(small, big)
     assert prune_subsumed([big, small]) == [big]
+
+
+def _restrictions(flavor: str):
+    return st.builds(Restriction, st.just(flavor),
+                     st.lists(st.sampled_from(_POOL), max_size=3),
+                     st.lists(st.sampled_from(_POOL), max_size=2))
+
+
+@st.composite
+def _term_unions(draw):
+    """Terms on mixed roots, some repeated and some narrowed componentwise
+    (so below another), with statically empty components among them."""
+    out = []
+    for root in draw(st.lists(st.sampled_from(
+            [ROOT_12, ROOT_21, pc("2413"), pc("3142")]), max_size=10)):
+        args = [draw(_restrictions(f)) for f in component_flavors(root)]
+        out.append(Term(root, args))
+        for k in draw(st.lists(st.integers(0, len(args) - 1), max_size=2)):
+            args[k] = intersect_restrictions(
+                args[k], draw(_restrictions(args[k].flavor)))
+            out.append(Term(root, args))
+    return out + draw(st.lists(st.sampled_from(out), max_size=3)) if out else out
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_term_unions())
+def test_mask_prune_matches_the_pairwise_reference(terms):
+    assert prune_subsumed(terms) == prune_subsumed_reference(terms)
+
+
+def test_prune_keeps_the_meaning_of_empty_components():
+    empty = Restriction(FLAVOR_ALL, (Perm((1,)),))
+    assert empty.empty
+    terms = [Term(ROOT_12, (Restriction(FLAVOR_SUM_INDEC), CA("21"))),
+             Term(ROOT_12, (Restriction(FLAVOR_SUM_INDEC), empty)),
+             Term(ROOT_21, (Restriction(FLAVOR_SKEW_INDEC), empty)),
+             Term(ROOT_21, (Restriction(FLAVOR_SKEW_INDEC, (pc("12"),)),
+                            CA("12")))]
+    # An empty component is below everything, and nothing else is below it:
+    # terms[1] goes, and terms[2] and terms[3] are incomparable.
+    assert prune_subsumed(terms) == prune_subsumed_reference(terms) == [
+        terms[0], terms[2], terms[3]]
 
 
 # --- pattern numbering and masks -------------------------------------------
