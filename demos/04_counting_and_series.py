@@ -19,7 +19,7 @@ from permspec import (
 print("The substitution closure with no simple permutations (the separable")
 print("members) has the textbook three-equation system:")
 closure = closure_system([])
-print(emit_gf_equations(closure).render())
+print(emit_gf_equations(closure))
 table = count_coefficients(closure, 12)
 print("counts:", ", ".join(str(c) for _, c in table.root_counts()))
 

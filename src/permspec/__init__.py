@@ -58,12 +58,7 @@ from .disambiguator import (
     disambiguate_system,
     unproductive_nonterminals,
 )
-from .engine import (
-    CountTable,
-    GfSystem,
-    count_coefficients,
-    emit_gf_equations,
-)
+from .engine import CountTable, count_coefficients
 from .sampler import (
     DivergentSeriesError,
     EmptySizeClassError,
@@ -75,6 +70,8 @@ from .sampler import (
 )
 from .serial import (
     InvalidInputError,
+    emit_gf_equations,
+    gf_json,
     parse_system,
     read_perm_lines,
     serialize_system,

@@ -18,7 +18,7 @@ from .perms import DEFAULT_ORACLE_CAP, Perm, minimal_patterns
 from .simples import DEFAULT_SIMPLES_CAP, compute_simples
 from .builder import ambiguous_system, class_input
 from .disambiguator import disambiguate_system
-from .engine import DEFAULT_COUNT_DEPTH, count_coefficients, emit_gf_equations
+from .engine import DEFAULT_COUNT_DEPTH, count_coefficients
 from .sampler import (
     DivergentSeriesError,
     EmptySizeClassError,
@@ -32,6 +32,8 @@ from .serial import (
     InvalidInputError,
     JSON_SCHEMA,
     dump_json,
+    emit_gf_equations,
+    gf_json,
     read_perm_lines,
     serialize_system,
     system_json,
@@ -107,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_perms(path: str, what: str) -> list[Perm]:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {what} file: {exc}") from None
@@ -182,13 +184,8 @@ def _cmd_count(args):
 
 
 def _cmd_gf(args):
-    gf = emit_gf_equations(disambiguate_system(_ambiguous(args)))
-    return (EXIT_OK,
-            {"kind": "gf", "root": gf.root_name,
-             "equations": [{"lhs": e.name, "atom": e.has_atom,
-                            "products": [list(p) for p in e.products]}
-                           for e in gf.equations]},
-            gf.render() + "\n")
+    system = disambiguate_system(_ambiguous(args))
+    return EXIT_OK, gf_json(system), emit_gf_equations(system) + "\n"
 
 
 def _parse_window(text: str) -> tuple[int, int]:

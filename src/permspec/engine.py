@@ -1,9 +1,9 @@
-"""Counting back end: generating-function view and exact coefficients.
+"""Counting back end: exact coefficients of a disjoint system.
 
-A disjoint system translates directly: the atom becomes z, disjoint union
-becomes a sum, and inflating a root by components becomes a product of
-their series.  Coefficients are exact integers, filled one size at a time
-with no fixpoint iteration.  Each term keeps suffix rows: row i holds, for
+A disjoint system counts directly: the atom has size one, disjoint union
+adds counts, and inflating a root by components convolves their counts.
+Coefficients are exact integers, filled one size at a time with no
+fixpoint iteration.  Each term keeps suffix rows: row i holds, for
 every total size, the ways its components i.. sum to that size, which is
 component i's counts convolved with row i+1.  Every component has size at
 least one, so at size n each convolved row needs only entries below n;
@@ -14,51 +14,12 @@ component sizes from these same rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .perms import InvalidInputError
-from .restrictions import (
-    MODE_DISJOINT,
-    Restriction,
-    System,
-    Term,
-)
+from .restrictions import MODE_DISJOINT, Restriction, System, Term
 
 DEFAULT_COUNT_DEPTH = 40
-
-
-@dataclass(frozen=True)
-class GfEquation:
-    name: str
-    has_atom: bool
-    products: tuple[tuple[str, ...], ...]
-
-    def render(self) -> str:
-        pieces = (["z"] if self.has_atom else []) + [
-            "*".join(f"F{{{n}}}(z)" for n in prod) for prod in self.products]
-        return f"F{{{self.name}}}(z) = " + (" + ".join(pieces) if pieces else "0")
-
-
-@dataclass(frozen=True)
-class GfSystem:
-    root_name: str
-    equations: tuple[GfEquation, ...]
-
-    def render(self) -> str:
-        return "\n".join(eq.render() for eq in self.equations)
-
-
-def emit_gf_equations(system: System) -> GfSystem:
-    """The generating-function equations of a combinatorial specification."""
-    if system.mode != MODE_DISJOINT:
-        raise ValueError("generating functions need a disjoint system")
-    out = []
-    for lhs in system.ordered_lhs():
-        eq = system.equations[lhs]
-        products = tuple(tuple(a.name() for a in t.args) for t in eq.terms)
-        out.append(GfEquation(lhs.name(), eq.has_atom, products))
-    return GfSystem(system.root.name(), tuple(out))
 
 
 class CountTable:

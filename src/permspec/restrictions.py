@@ -292,9 +292,12 @@ def intersect_terms(t1: Term, t2: Term) -> Term | None:
     """
     if t1.root != t2.root:
         return None
-    args = tuple(itertools.takewhile(lambda a: not a.empty, map(
-        intersect_restrictions, t1.args, t2.args)))
-    return Term._trusted(t1.root, args) if len(args) == len(t1.args) else None
+    args = []
+    for a in map(intersect_restrictions, t1.args, t2.args):
+        if a.empty:
+            return None
+        args.append(a)
+    return Term._trusted(t1.root, tuple(args))
 
 
 def complement_term(t: Term) -> list[Term]:

@@ -15,6 +15,10 @@ avoided patterns in angle brackets and the mandatory ones in parentheses,
 both semicolon separated.  A term is its root (``12``, ``21``, or a
 permutation literal) with comma-separated component names in square
 brackets.  An equation with no summands at all renders as ``NAME = 0``.
+The generating-function form of a disjoint system has the same lines with
+``1`` read as ``z``, ``|`` as a sum and a term as the product of its
+components' series: ``C<2 1>() = 1 | 12[C+<2 1>(), C<2 1>()]`` reads
+``F{C<2 1>()}(z) = z + F{C+<2 1>()}(z)*F{C<2 1>()}(z)``.
 
 Parsing is the exact inverse: ``parse_system(serialize_system(s)) == s``.
 
@@ -143,6 +147,17 @@ def serialize_system(system: System) -> str:
     return "\n".join(lines) + "\n"
 
 
+def emit_gf_equations(system: System) -> str:
+    """The generating-function equations of a disjoint system, one line
+    per equation of ``serialize_system`` and in its order."""
+    lines = []
+    for e in gf_json(system)["equations"]:
+        pieces = (["z"] if e["atom"] else []) + [
+            "*".join(f"F{{{n}}}(z)" for n in p) for p in e["products"]]
+        lines.append(f"F{{{e['lhs']}}}(z) = " + (" + ".join(pieces) or "0"))
+    return "\n".join(lines)
+
+
 def parse_system(text: str) -> System:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != FORMAT_HEADER:
@@ -201,6 +216,17 @@ def system_json(system: System) -> dict:
             for r in system.ordered_lhs()
         ],
     }
+
+
+def gf_json(system: System) -> dict:
+    """``system_json``'s equations read as generating functions: each term
+    is the product of its components' series."""
+    if system.mode != MODE_DISJOINT:
+        raise ValueError("generating functions need a disjoint system")
+    return {"schema": JSON_SCHEMA, "kind": "gf", "root": system.root.name(),
+            "equations": [{"lhs": e["lhs"], "atom": e["atom"],
+                           "products": [t["args"] for t in e["terms"]]}
+                          for e in system_json(system)["equations"]]}
 
 
 def dump_json(payload: dict) -> str:

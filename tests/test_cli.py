@@ -169,6 +169,24 @@ def test_internal_value_error_exits_4(basis_file, capsys, monkeypatch):
     assert captured.err == "internal error: ValueError: inconsistent state\n"
 
 
+def test_files_with_a_byte_order_mark_read_like_plain_ones(basis_file, capsys):
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    bom = "\ufeff"  # written as the bytes EF BB BF
+    plain = basis_file(ONE_SIMPLE)
+    marked = basis_file(bom + ONE_SIMPLE, name="bom.txt")
+    assert Path(marked).read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert run(["count", "--basis", marked, "-N", "6"]) == \
+        run(["count", "--basis", plain, "-N", "6"])
+    simples, marked_simples = (basis_file(mark + "3 1 4 2\n", name=name)
+                               for mark, name in (("", "simples.txt"),
+                                                  (bom, "bom-simples.txt")))
+    assert run(["spec", "--basis", plain, "--simples", marked_simples]) == \
+        run(["spec", "--basis", plain, "--simples", simples])
+
+
 def test_basis_minimization_warns(basis_file, capsys):
     assert main(["count", "--basis", basis_file("1 2\n1 2 4 3\n"), "-N", "3"]) == 0
     captured = capsys.readouterr()

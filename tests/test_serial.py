@@ -3,6 +3,7 @@ input-file parsing, and the JSON mirror."""
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,8 @@ from permspec import (
     closure_system,
     compute_simples,
     disambiguate_system,
+    emit_gf_equations,
+    gf_json,
     parse_system,
     read_perm_lines,
     serialize_system,
@@ -106,6 +109,39 @@ def test_json_mirror(systems_one_simple):
     roots = [t["root"] for eq in payload["equations"] for t in eq["terms"]]
     assert "12" in roots and [3, 1, 4, 2] in roots
     assert all(r in ("12", "21", [3, 1, 4, 2]) for r in roots)
+
+
+def test_gf_views_read_the_spec(systems_one_simple, corpus_systems):
+    systems = {"W": systems_one_simple[1]}
+    systems.update((name, corpus_systems[name][1])
+                   for name in ("L1", "L3", "B1", "B4"))
+    for name, d in systems.items():
+        text = emit_gf_equations(d)
+        assert text == emit_gf_equations(parse_system(serialize_system(d)))
+        spec_lines = serialize_system(d).splitlines()[5:]
+        gf_lines = text.splitlines()
+        assert len(gf_lines) == len(spec_lines) == len(d.equations)
+        for gf_line, spec_line, r in zip(gf_lines, spec_lines, d.ordered_lhs()):
+            eq = d.equations[r]
+            lhs, rhs = gf_line.split(" = ")
+            assert lhs == "F{%s}(z)" % spec_line.split(" = ")[0] == "F{%s}(z)" % r.name()
+            pieces = [] if rhs == "0" else rhs.split(" + ")
+            assert (pieces[:1] == ["z"]) == eq.has_atom
+            assert [re.findall(r"F\{([^}]*)\}\(z\)", p)
+                    for p in pieces[eq.has_atom:]] == \
+                [[a.name() for a in t.args] for t in eq.terms]
+        assert gf_json(d)["equations"] == [
+            {"lhs": e["lhs"], "atom": e["atom"],
+             "products": [t["args"] for t in e["terms"]]}
+            for e in system_json(d)["equations"]]
+    # W's simple 3 1 4 2 roots terms of four components: four factors each.
+    w = systems["W"]
+    simple_rooted = sum(len(t.root) == 4 for eq in w.equations.values()
+                        for t in eq.terms)
+    products = [p for e in gf_json(w)["equations"] for p in e["products"]]
+    assert simple_rooted > 0
+    assert sum(len(p) == 4 for p in products) == simple_rooted
+    assert all(len(p) in (2, 4) for p in products)
 
 
 def test_worked_disjoint_spec_text_is_pinned(systems_one_simple,
