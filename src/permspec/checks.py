@@ -8,10 +8,10 @@ line ``check`` subcommand and by the test suite.  Memberships are those of
 of ``pattern_masks`` grows a class that holds Av(basis) and every member
 and summand, one point a size, as ``bytes`` keys with their pattern bits
 from their one-point deletions; a key's parts, cut by ``split_blocks``,
-give their profiles by key.  Rows with one signature (profile, root, arity
-and parts' packed profiles, per simples set) share one tally and one
-verdict, and a ``Perm`` is built only to name a violation.  The basis has
-profile bits too, so ``run_check``'s walk also counts the avoiders.
+give their profiles from one table.  Rows with one signature (profile,
+root, arity, parts' packed profiles) share one tally, rows with one view
+(all that a check reads) one verdict; a ``Perm`` names a violation.  The
+basis has profile bits too, so ``run_check``'s walk also counts avoiders.
 """
 
 from __future__ import annotations
@@ -48,96 +48,101 @@ def check_max_size(max_size: int) -> None:
 class Profiles:
     """Per-permutation profiles and compiled restriction tests for one run.
 
-    A profile is an int: ``IN_CLOSURE`` when every tree label is 12, 21 or
-    a listed simple, ``SUM_DEC``/``SKEW_DEC`` by the top split, and one bit
-    per pattern p contains, by ``pattern_masks``: the systems' restriction
-    patterns and the basis.  A walk keeps profiles by ``bytes`` key, one
-    table per simples set.  A restriction compiles to (forbidden, needed)
-    masks, and a term to the same masks over the packed profiles of p's
-    parts.
+    A profile is an int: ``SUM_DEC``/``SKEW_DEC`` by the top split, one bit
+    per pattern p contains, by ``pattern_masks`` (the systems' restriction
+    patterns and the basis), and above those, per simples set, a closure
+    bit when every tree label is 12, 21 or one of its simples.  A walk
+    keeps one profile per ``bytes`` key; p's profile in one system has
+    ``IN_CLOSURE`` for that system's closure bit.  A restriction compiles
+    to (forbidden, needed) masks, and a term to the same masks over its
+    parts' packed profiles.
     """
 
-    def __init__(self, systems: Iterable[System], basis: Iterable[Perm] = ()):
+    def __init__(self, systems: Sequence[System], basis: Iterable[Perm] = ()):
         basis = set(basis)
         patterns = basis | {q for s in systems for eq in s.equations.values()
                             for r in (eq.lhs, *(a for t in eq.terms
                                                 for a in t.args))
                             for q in r.avoid + r.contain}
         self._bit = {q: 8 << i for i, q in enumerate(sorted(patterns, key=len))}
-        self._width = 3 + len(self._bit)
+        self._width = 4 + len(self._bit) + len(systems)  # and closure bits
         self.basis_mask = sum(self._bit[q] for q in basis)
 
-    def test(self, r: Restriction) -> tuple[int, int]:
+    def test(self, r: Restriction, closed: int = IN_CLOSURE) -> tuple[int, int]:
         """(forbidden, needed) masks of r; a statically empty r admits none."""
         if r.empty:
-            return IN_CLOSURE, IN_CLOSURE
+            return closed, closed
         bit = self._bit
         return (sum(bit[e] for e in r.avoid) | _FORBIDDEN.get(r.flavor, 0),
-                sum(bit[a] for a in r.contain) | IN_CLOSURE)
+                sum(bit[a] for a in r.contain) | closed)
 
     def _pack(self, profiles: Iterable[int]) -> int:
         return sum(q << i * self._width for i, q in enumerate(profiles))
 
-    def _right_sides(self, system: System):
+    def _right_sides(self, system: System, closed: int = IN_CLOSURE):
         """(simples, {(root, arity): [(equation index, term masks)]}, per
         equation its atom count) for the right sides of a system."""
         index: dict[tuple, list] = {}
         for i, eq in enumerate(system.equations.values()):
             for t in eq.terms:
-                forbidden, needed = zip(*map(self.test, t.args))
+                forbidden, needed = zip(*(self.test(a, closed) for a in t.args))
                 index.setdefault((t.root, len(t.args)), []).append(
                     (i, self._pack(forbidden), self._pack(needed)))
         return system.simples_set(), index, [
             int(eq.has_atom) for eq in system.equations.values()]
 
     def tallies(self, systems: list[System], max_size: int):
-        """(key, mask, signature, profs, counts) for every p up to max_size
-        in Av(basis) or (given systems) the closure of ``_closure_roots``,
-        in walk order: key is bytes(p) and mask its pattern bits; profs per
-        system p's profile and counts per system and equation the number of
-        right-side summands holding p (the atom counts as one).  Rows of
-        one signature share profs and counts, tallied once."""
+        """(key, mask, view, profs, counts) for every p up to max_size in
+        Av(basis) or (given systems) the closure of ``_closure_roots``, in
+        walk order: key is bytes(p) and mask its pattern bits; profs per
+        system p's profile, counts per system and equation the number of
+        right-side summands holding p (the atom counts as one), and view
+        numbers what a check reads: the profs' bits some left side tests,
+        and the counts.  Rows of one signature share all three."""
         check_max_size(max_size)
-        sides = [self._right_sides(system) for system in systems]
-        roots = _closure_roots(systems)  # entry 0 of every signature
-        tables = {s: {} for s in [roots, *(simples for simples, _, _ in sides)]}
-        which = [list(tables).index(simples) for simples, _, _ in sides]
-        closure_bit = IN_CLOSURE if systems else 0  # else Av(basis) alone
+        roots = _closure_roots(systems)
+        closure = {s: 1 << 3 + len(self._bit) + j for j, s in enumerate(
+            dict.fromkeys([roots, *(s.simples_set() for s in systems)]))}
+        sides = [self._right_sides(s, closure[s.simples_set()]) for s in systems]
+        first = closure[roots] if systems else 0  # else Av(basis) alone
+        flags = (1 << 3 + len(self._bit)) - 1  # all but the closure bits
+        allowed = {r: sum(bit for simples, bit in closure.items()
+                          if r in (None, ROOT_12, ROOT_21) or r in simples)
+                   for r in (None, ROOT_12, ROOT_21, *roots)}
         lower = [bytes((v - d) % 256 for v in range(256))
                  for d in range(max_size)]  # lower[d] takes v to v - d
-        rows: dict[tuple, tuple] = {}
+        tested = 0  # the profile bits some left side tests
+        for f, n in map(self.test, [r for s in systems for r in s.equations]):
+            tested |= f | n
+        table, rows, views = {}, {}, {}  # by key, signature and view
 
         def row(key: bytes, mask: int):
             root, blocks = split_blocks(key)
-            parts = [key[s:s + m].translate(lower[low - 1])
-                     for s, m, low in blocks]
-            flags = mask | _DECOMPOSED.get(root, 0)
-            signature = []
-            for simples, table in tables.items():
-                subs = [table[q][0] for q in parts]
-                closed = (root in (None, ROOT_12, ROOT_21) or root in simples) \
-                    and all(q & IN_CLOSURE for q in subs)
-                entry = (flags | IN_CLOSURE if closed else flags,
-                         (root, len(parts)), self._pack(subs))
-                if len(key) < max_size:
-                    table[key] = entry
-                signature.append(entry)
-            if mask & self.basis_mask and not signature[0][0] & closure_bit:
+            closed, packed = allowed.get(root, 0), 0
+            for s, m, low in reversed(blocks):  # packed as ``_pack`` packs
+                q = table[key[s:s + m].translate(lower[low - 1])]
+                closed &= q
+                packed = packed << self._width | q
+            prof = mask | _DECOMPOSED.get(root, 0) | closed
+            if len(key) < max_size:
+                table[key] = prof
+            if mask & self.basis_mask and not prof & first:
                 return None
-            signature = tuple(signature)
-            tally = rows.get(signature)
+            tally = rows.get(signature := (prof, (root, len(blocks)), packed))
             if tally is None:
-                tally = rows[signature] = ([], [])
-                for w, (_, index, atoms) in zip(which, sides):
-                    prof, shape, packed = signature[w]
+                profs, counts = [], []
+                for simples, index, atoms in sides:
                     mults = atoms[:] if root is None else [0] * len(atoms)
-                    for i, forbidden, needed in index.get(shape, ()):
-                        if not packed & forbidden and \
-                                packed & needed == needed:
+                    for i, forbidden, needed in index.get(signature[1], ()):
+                        if not packed & forbidden and packed & needed == needed:
                             mults[i] += 1
-                    tally[0].append(prof)
-                    tally[1].append(mults)
-            return key, mask, signature, *tally
+                    profs.append(prof & flags | IN_CLOSURE if
+                                 prof & closure[simples] else prof & flags)
+                    counts.append(mults)
+                view = (*(q & tested for q in profs), *map(tuple, counts))
+                tally = rows[signature] = (
+                    views.setdefault(view, len(views)), profs, counts)
+            return key, mask, *tally
         return pattern_masks(self._bit, max_size, row)
 
 
@@ -187,18 +192,17 @@ def _conservation_check(before: System, after: System):
 
 def _walk(profiles: Profiles, systems: list[System], checks, max_size: int):
     """(per check its violations in walk order, per size n the number of
-    permutations of size n with no basis bit).  Each signature is judged
-    once; a failing one is named by every permutation that has it."""
+    permutations of size n with no basis bit).  Each view is judged once;
+    a failing one is named by every permutation that has it."""
     found: list[list[str]] = [[] for _ in checks]
     avoiders = [0] * (max_size + 1)
-    verdicts: dict[tuple, list] = {}
-    for key, mask, signature, profs, counts in profiles.tallies(systems,
-                                                                max_size):
+    verdicts: dict[int, list] = {}
+    for key, mask, view, profs, counts in profiles.tallies(systems, max_size):
         avoiders[len(key)] += not mask & profiles.basis_mask
-        fails = verdicts.get(signature)
+        fails = verdicts.get(view)
         if fails is None:
             fails = [list(check(profs, counts)) for check in checks]
-            fails = verdicts[signature] = fails if any(fails) else []
+            fails = verdicts[view] = fails if any(fails) else []
         if fails:
             p = Perm(key)
             for out, fail in zip(found, fails):

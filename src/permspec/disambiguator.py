@@ -30,6 +30,7 @@ from .restrictions import (
     intersect_terms,
     complement_term,
     make_equation,
+    terms_meet,
 )
 from .builder import IterationLimitError, close, restriction_equation
 
@@ -54,7 +55,7 @@ def disambiguate_equation(eq: Equation, complement=None) -> Equation:
     terms, complement = [], complement or cache(complement_term)
     for j, t in enumerate(eq.terms):
         terms += reduce(_meet, [complement(u) for u in eq.terms[:j]
-                                if intersect_terms(u, t) is not None], [t])
+                                if terms_meet(u, t)], [t])
     return make_equation(eq.lhs, eq.has_atom, terms)
 
 

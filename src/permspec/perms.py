@@ -486,8 +486,9 @@ def pattern_masks(bits: dict[Perm, int], max_size: int,
     """``keep(bytes(p), mask)`` for each p of size 1..max_size in a class
     (keep gives None outside it), in ``perm_key`` order; mask is the OR of
     ``bits[q]`` over all q <= p, from p's one-point deletions.  Size n puts
-    n at each position of each key kept at size n - 1, and drops those
-    with a one-point deletion not kept; patterns past max_size hold in none.
+    n at each position of each key kept at size n - 1, its parent, whose
+    mask it starts from, and drops it at the first other one-point deletion
+    not kept; patterns past max_size hold in none.
 
     >>> [m for _, m in pattern_masks({Perm((1, 2)): 1}, 3)]
     [0, 1, 0, 1, 1, 1, 1, 1, 0]
@@ -496,13 +497,15 @@ def pattern_masks(bits: dict[Perm, int], max_size: int,
     for n in range(1, max_size + 1):
         top = bytes((n,))
         cuts = [(bytes((x,)), bytes(v - (v > x) for v in range(256)))
-                for x in range(1, n + 1)]  # drop value x, lower those above
+                for x in range(1, n)]  # drop value x, lower those above
         prev, level = level, {}
         for key in sorted([k[:i] + top + k[i:] for k in prev for i in range(n)]):
-            mask = own.get(key, 0)
-            for one, down in cuts:  # -1 where a deletion was not kept
-                mask |= prev.get(key.replace(one, b"").translate(down), -1)
-            if mask >= 0 and (kept := keep(key, mask)) is not None:
+            mask, sub = prev[key.replace(top, b"")] | own.get(key, 0), 0
+            for one, down in cuts:  # up to the first deletion not kept
+                if (sub := prev.get(key.replace(one, b"").translate(down))) is None:
+                    break
+                mask |= sub
+            if sub is not None and (kept := keep(key, mask)) is not None:
                 if n < max_size:
                     level[key] = mask
                 yield kept

@@ -52,6 +52,8 @@ _PATTERNS: list[Perm] = []
 _NUMBER: dict[Perm, int] = {}
 _BELOW: list[int] = []
 _ABOVE: list[int] = []
+# (flavor, avoid mask, contain mask), raw or normalized -> the restriction.
+_INTERN: dict[tuple[str, int, int], "Restriction"] = {}
 
 
 def _number(p: Perm) -> int:
@@ -65,6 +67,8 @@ def _number(p: Perm) -> int:
             elif len(q) > len(p) and contains(q, p):
                 _BELOW[j] |= 1 << i
                 above |= 1 << j
+        for r in [r for r in _INTERN.values() if r.contain_mask & above]:
+            r.down |= 1 << i  # p lies below a pattern r's members hold
         _PATTERNS.append(p)
         _BELOW.append(below)
         _ABOVE.append(above)
@@ -89,10 +93,6 @@ def _covered(mask: int, table: list[int] = _BELOW) -> int:
     return out
 
 
-# (flavor, avoid mask, contain mask), raw or normalized -> the restriction.
-_INTERN: dict[tuple[str, int, int], "Restriction"] = {}
-
-
 class Restriction:
     """Members of the closure universe (of one flavor) avoiding every
     pattern in ``avoid`` and containing every pattern in ``contain``.
@@ -107,7 +107,7 @@ class Restriction:
     """
 
     __slots__ = ("flavor", "avoid", "contain", "empty", "avoid_mask",
-                 "contain_mask", "_key")
+                 "contain_mask", "down", "_key")
 
     def __new__(cls, flavor: str, avoid: Iterable[Perm] = (),
                 contain: Iterable[Perm] = ()) -> Restriction:
@@ -122,7 +122,8 @@ class Restriction:
         self.avoid, self.contain = normal = [tuple(sorted(
             map(_PATTERNS.__getitem__, _bits(m)), key=perm_key))
             for m in (avoid, contain)]
-        self.empty = bool(avoid & (_ATOM | contain | _covered(contain)))
+        self.down = _ATOM | contain | _covered(contain)  # held by all members
+        self.empty = bool(avoid & self.down)
         self._key = (FLAVORS.index(self.flavor),
                      *(tuple(map(perm_key, ps)) for ps in normal))
 
@@ -256,8 +257,8 @@ def _leq_fields(r: Restriction) -> tuple[int, int]:
     and offers one below, their up- and down-closures (empty: top bit, all)."""
     half = len(_PATTERNS) + 1  # the top bit is no pattern's
     return (1 << 2 * half - 1, (1 << 2 * half) - 1) if r.empty else (
-        r.avoid_mask << half | r.contain_mask, _covered(r.avoid_mask, _ABOVE)
-        << half | r.contain_mask | _covered(r.contain_mask))
+        r.avoid_mask << half | r.contain_mask,
+        _covered(r.avoid_mask, _ABOVE) << half | r.down)
 
 
 def term_leq(t1: Term, t2: Term) -> bool:
@@ -298,6 +299,12 @@ def intersect_terms(t1: Term, t2: Term) -> Term | None:
             return None
         args.append(a)
     return Term._trusted(t1.root, tuple(args))
+
+
+def terms_meet(t1: Term, t2: Term) -> bool:
+    """``intersect_terms(t1, t2) is not None``, without building the term."""
+    return t1.root == t2.root and not any((a.avoid_mask | b.avoid_mask) & (
+        a.down | b.down) for a, b in zip(t1.args, t2.args))
 
 
 def complement_term(t: Term) -> list[Term]:

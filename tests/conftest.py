@@ -16,11 +16,11 @@ from permspec import (
 )
 from permspec.builder import close, closure_terms
 from permspec.checks import (IN_CLOSURE, SKEW_DEC, SUM_DEC, Profiles,
-                             check_max_size)
+                             _closure_roots, check_max_size)
 from permspec.engine import count_coefficients
 from permspec.perms import (ROOT_12, ROOT_21, Embedding, avoids, embeddings,
                             gen_substitute, is_simple, pattern_of, perm_key,
-                            top_split)
+                            split_blocks, top_split)
 from permspec.restrictions import (FLAVOR_ALL, MODE_DISJOINT, Restriction,
                                    System, Term, _interned, make_equation,
                                    term_key, term_leq)
@@ -100,6 +100,79 @@ def every_pattern_mask(bits: dict, max_size: int):
             if n < max_size:
                 level[key] = mask
             yield key, mask
+
+
+# --- the walk that parent masks and one profile table replaced ---------------
+
+def every_deletion_masks(bits: dict, max_size: int, keep):
+    """``pattern_masks`` with every one-point deletion looked up for each
+    candidate, a deletion not kept turning the mask to -1: how it once
+    grew a class, before it started from the parent's mask and stopped at
+    the first deletion not kept."""
+    own, level = {bytes(q): bits[q] for q in bits if len(q) <= max_size}, {b"": 0}
+    for n in range(1, max_size + 1):
+        top = bytes((n,))
+        cuts = [(bytes((x,)), bytes(v - (v > x) for v in range(256)))
+                for x in range(1, n + 1)]  # drop value x, lower those above
+        prev, level = level, {}
+        for key in sorted([k[:i] + top + k[i:] for k in prev for i in range(n)]):
+            mask = own.get(key, 0)
+            for one, down in cuts:  # -1 where a deletion was not kept
+                mask |= prev.get(key.replace(one, b"").translate(down), -1)
+            if mask >= 0 and (kept := keep(key, mask)) is not None:
+                if n < max_size:
+                    level[key] = mask
+                yield kept
+
+
+def two_table_tallies(profiles: Profiles, systems, max_size: int):
+    """(key, mask, profs, counts) of ``Profiles.tallies`` from one table
+    per simples set, each entry a (profile, shape, packed parts) tuple with
+    ``IN_CLOSURE`` for that set, a row's signature the tuple of its
+    entries, and a tally per signature: how ``tallies`` once kept its
+    profiles, before one table held one int per key."""
+    check_max_size(max_size)
+    sides = [profiles._right_sides(system) for system in systems]
+    roots = _closure_roots(systems)  # entry 0 of every signature
+    tables = {s: {} for s in [roots, *(simples for simples, _, _ in sides)]}
+    which = [list(tables).index(simples) for simples, _, _ in sides]
+    closure_bit = IN_CLOSURE if systems else 0  # else Av(basis) alone
+    lower = [bytes((v - d) % 256 for v in range(256))
+             for d in range(max_size)]  # lower[d] takes v to v - d
+    decomposed = {ROOT_12: SUM_DEC, ROOT_21: SKEW_DEC}
+    rows: dict[tuple, tuple] = {}
+
+    def row(key: bytes, mask: int):
+        root, blocks = split_blocks(key)
+        parts = [key[s:s + m].translate(lower[low - 1])
+                 for s, m, low in blocks]
+        flags = mask | decomposed.get(root, 0)
+        signature = []
+        for simples, table in tables.items():
+            subs = [table[q][0] for q in parts]
+            closed = (root in (None, ROOT_12, ROOT_21) or root in simples) \
+                and all(q & IN_CLOSURE for q in subs)
+            entry = (flags | IN_CLOSURE if closed else flags,
+                     (root, len(parts)), profiles._pack(subs))
+            if len(key) < max_size:
+                table[key] = entry
+            signature.append(entry)
+        if mask & profiles.basis_mask and not signature[0][0] & closure_bit:
+            return None
+        signature = tuple(signature)
+        tally = rows.get(signature)
+        if tally is None:
+            tally = rows[signature] = ([], [])
+            for w, (_, index, atoms) in zip(which, sides):
+                prof, shape, packed = signature[w]
+                mults = atoms[:] if root is None else [0] * len(atoms)
+                for i, forbidden, needed in index.get(shape, ()):
+                    if not packed & forbidden and packed & needed == needed:
+                        mults[i] += 1
+                tally[0].append(prof)
+                tally[1].append(mults)
+        return key, mask, *tally
+    return every_deletion_masks(profiles._bit, max_size, row)
 
 
 # --- the generator driver that preorder shapes and ``perms.fold`` replaced ---

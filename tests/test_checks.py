@@ -31,7 +31,8 @@ from permspec.restrictions import (
     rhs_multiplicity,
 )
 
-from conftest import contains_mask, perm_walk_report, scan_avoiders
+from conftest import (contains_mask, perm_walk_report, scan_avoiders,
+                      two_table_tallies)
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,55 @@ def test_mutants_match_the_perm_walk(oracle_systems, name):
         report = run_check(amb, dis, 6)
         assert not all(ok for _, ok, _ in report), kind
         assert report == perm_walk_report(amb, dis, 6), kind
+
+
+def _rows(profiles, systems, max_size):
+    return [(key, mask, profs, counts) for key, mask, _, profs, counts
+            in profiles.tallies(systems, max_size)]
+
+
+@pytest.mark.parametrize("name", ["W", "L1", "L3", "B1", "B4"])
+def test_one_profile_table_matches_two_tables(oracle_systems, name):
+    # The run_check walk, one system's walk without the basis, and the
+    # count walk of Av(basis) alone.
+    amb, dis = oracle_systems[name]
+    for systems, basis in (([amb, dis], dis.basis), ([dis], ()), ([], dis.basis)):
+        profiles = Profiles(systems, basis)
+        rows = _rows(profiles, systems, 7)
+        assert rows == list(two_table_tallies(profiles, systems, 7))
+        assert len(rows) > 1000, (len(systems), len(rows))
+
+
+@pytest.mark.parametrize("name", ["W", "B1", "L3"])
+def test_one_profile_table_matches_two_tables_on_mutants(oracle_systems, name):
+    for kind, (amb, dis) in _mutants(*oracle_systems[name]).items():
+        profiles = Profiles([amb, dis], dis.basis)
+        assert _rows(profiles, [amb, dis], 6) == \
+            list(two_table_tallies(profiles, [amb, dis], 6)), kind
+
+
+@pytest.mark.parametrize("name, views", [("W", 13), ("L1", 51), ("L3", 115)])
+def test_run_check_judges_each_view_once(oracle_systems, monkeypatch, name,
+                                         views):
+    # The checks read only a row's view: its profs' bits that some left
+    # side tests, and its counts.  At size 7 the walks of W, L1 and L3 have
+    # 266, 1,088 and 1,466 signatures, each once judged on its own.
+    evaluated = []
+
+    def counting(make):
+        def made(*args):
+            check = make(*args)
+
+            def counted(profs, counts):
+                evaluated.append(make.__name__)
+                return check(profs, counts)
+            return counted
+        return made
+    for make in ("_membership_check", "_conservation_check"):
+        monkeypatch.setattr(checks, make, counting(getattr(checks, make)))
+    assert all(ok for _, ok, _ in run_check(*oracle_systems[name], 7))
+    assert sorted(evaluated) == ["_conservation_check"] * views + \
+        ["_membership_check"] * 2 * views
 
 
 ORACLE_ENTRIES = {

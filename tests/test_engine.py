@@ -1,5 +1,7 @@
 """Counting back end: generating functions, exact coefficients, productivity."""
 
+import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -9,7 +11,10 @@ from permspec import (
     MODE_DISJOINT,
     Perm,
     Restriction,
+    ambiguous_system,
+    class_input,
     closure_system,
+    compute_simples,
     count_coefficients,
     disambiguate_equation,
     disambiguate_system,
@@ -64,6 +69,48 @@ def test_counts_grow_exactly_with_big_integers(systems_separable):
     for n in range(2, 39):
         assert (n + 2) * a[n + 1] == 3 * (2 * n + 1) * a[n] - (n - 1) * a[n - 1]
     assert a[39] > 10 ** 20
+
+
+def _schroeder(n: int) -> int:
+    """The large Schröder number S_n = sum over k of C(n + k, 2k) Catalan(k),
+    the number of separable permutations of size n + 1."""
+    return sum(math.comb(n + k, 2 * k) * math.comb(2 * k, k) // (k + 1)
+               for k in range(n + 1))
+
+
+def _separable(p) -> bool:
+    """Reduce p to one interval by merging adjacent intervals on a stack."""
+    stack = []
+    for v in p:
+        lo = hi = v
+        while stack and (stack[-1][1] + 1 == lo or hi + 1 == stack[-1][0]):
+            below = stack.pop()
+            lo, hi = min(lo, below[0]), max(hi, below[1])
+        stack.append((lo, hi))
+    return len(stack) == 1
+
+
+@pytest.mark.parametrize("n", [12, 20, 30])
+def test_sep_n_counts_past_the_oracle_cap(n):
+    # Sep_n = Av(2413, 3142, 2 3 ... n 1): below size n the class is Sep;
+    # at n only 2 3 ... n 1 itself is lost, and at n + 1 its separable
+    # one-point extensions, counted here by brute force over the
+    # (n + 1)^2 insertions.
+    assert sum(map(_separable, itertools.permutations(range(1, 7)))) == \
+        _schroeder(5) == 394
+    long = tuple(range(2, n + 1)) + (1,)
+    basis = (pc("2413"), pc("3142"), Perm(long))
+    assert compute_simples(basis).simples == ()
+    table = count_coefficients(disambiguate_system(ambiguous_system(
+        class_input(basis, ()))), n + 1)
+    extensions = {tuple(w + (w >= v) for w in long[:i]) + (v,) +
+                  tuple(w + (w >= v) for w in long[i:])
+                  for i in range(n + 1) for v in range(1, n + 2)}
+    lost = sum(map(_separable, extensions))
+    assert lost == n * n - 2 * n + 5  # 125 at n = 12
+    assert [table.root_count(k) for k in range(1, n + 2)] == \
+        [_schroeder(k - 1) for k in range(1, n)] + \
+        [_schroeder(n - 1) - 1, _schroeder(n) - lost]
 
 
 def test_every_nonterminal_counts_its_members(systems_one_simple):

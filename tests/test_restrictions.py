@@ -29,7 +29,7 @@ from permspec import (
 from permspec import perms, restrictions
 from permspec.perms import ROOT_12, ROOT_21, perm_key
 from permspec.restrictions import (component_flavors, prune_subsumed,
-                                   restriction_leq, term_leq)
+                                   restriction_leq, term_leq, terms_meet)
 from permspec.serial import parse_restriction_name
 
 from conftest import pc, perms_of_size, prune_subsumed_reference
@@ -176,6 +176,42 @@ def test_intersect_terms_distinct_roots_are_disjoint():
     minus = Restriction(FLAVOR_SKEW_INDEC)
     assert intersect_terms(Term(ROOT_12, (plus, full)),
                            Term(ROOT_21, (minus, full))) is None
+
+
+def test_terms_meet_as_intersect_terms_says(all_systems, corpus_systems):
+    # Every same-root pair of terms of one system, and each term against
+    # the complement cells of the other terms of its equation.
+    seen = []
+    for amb, dis in [*all_systems.values(), *corpus_systems.values()]:
+        for system in (amb, dis):
+            equations = system.equations.values()
+            terms = sorted({t for eq in equations for t in eq.terms}, key=str)
+            for t, u in itertools.product(terms, repeat=2):
+                if t.root == u.root:
+                    seen.append(terms_meet(t, u))
+                    assert seen[-1] == (intersect_terms(t, u) is not None)
+            for eq in equations:
+                for t, u in itertools.permutations(eq.terms, 2):
+                    for cell in complement_term(u):
+                        seen.append(terms_meet(cell, t))
+                        assert seen[-1] == (intersect_terms(cell, t) is not None)
+    assert len(seen) > 2000 and 0 < sum(seen) < len(seen)
+
+
+def test_down_follows_patterns_numbered_later():
+    # r is made before the pattern below its mandatory one is numbered; the
+    # numbering adds that pattern to r.down, so r meets no avoider of it.
+    big = Perm((9, 1, 8, 2, 7, 3, 6, 4, 5))
+    small = pattern_of(big[1:])
+    assert small not in restrictions._NUMBER
+    r = Restriction(FLAVOR_ALL, (), (big,))
+    avoider = Restriction(FLAVOR_ALL, (small,))
+    assert r.down & avoider.avoid_mask
+    assert intersect_restrictions(r, avoider).empty
+    plus = Restriction(FLAVOR_SUM_INDEC)
+    t, u = Term(ROOT_12, (plus, r)), Term(ROOT_12, (plus, avoider))
+    assert intersect_terms(t, u) is None and not terms_meet(t, u)
+    assert terms_meet(t, Term(ROOT_12, (plus, CA())))
 
 
 def test_complement_of_full_term_is_nothing():
