@@ -18,9 +18,9 @@ from permspec.builder import close, closure_terms
 from permspec.checks import (IN_CLOSURE, SKEW_DEC, SUM_DEC, Profiles,
                              _closure_roots, check_max_size)
 from permspec.engine import count_coefficients
-from permspec.perms import (ROOT_12, ROOT_21, Embedding, avoids, embeddings,
-                            gen_substitute, is_simple, pattern_of, perm_key,
-                            split_blocks, top_split)
+from permspec.perms import (ROOT_12, ROOT_21, Embedding, _value_order, avoids,
+                            embeddings, gen_substitute, is_simple, pattern_of,
+                            perm_key, split_blocks, top_split)
 from permspec.restrictions import (FLAVOR_ALL, MODE_DISJOINT, Restriction,
                                    System, Term, _interned, make_equation,
                                    term_key, term_leq)
@@ -200,6 +200,31 @@ def recurse(gen):
         else:
             stack.append(child)
             value = None
+
+
+# --- the inflate that placed every node by its root's value order ----------
+
+def value_order_inflate(shape: list) -> Perm:
+    """``perms.inflate`` as it was before linear nodes were placed by one
+    comparison: child sizes from the end as a slice and a sum per node,
+    then from the top each child's least value by the root's cached value
+    order, 12 and 21 included."""
+    parts, stack = [], []  # per node from the end, its children's sizes
+    for entry in reversed(shape):
+        k = len(entry[1])
+        parts.append(stack[:-k - 1:-1] if k else ())
+        stack[len(stack) - k:] = [sum(parts[-1]) if k else 1]
+    out, stack = [], [0]
+    for entry, sizes in zip(shape, reversed(parts)):
+        low = stack.pop()
+        if not sizes:
+            out.append(low + 1)
+            continue
+        lows = [0] * len(sizes)
+        for pos in _value_order(entry[0]):
+            lows[pos], low = low, low + sizes[pos]
+        stack += reversed(lows)
+    return Perm(out)
 
 
 # --- the pattern_of routes that the slot search and offsets replaced ---------

@@ -38,7 +38,7 @@ from conftest import (BASIS_132, BASIS_ONE_SIMPLE, BASIS_SEPARABLE, CORPUS,
                       any_slot_embeddings, contains_mask, cut_embeddings,
                       every_pattern_mask, interval_scan_is_simple, pc,
                       perms_of_size, rank_top_split, scan_avoiders,
-                      two_loop_split_blocks)
+                      two_loop_split_blocks, value_order_inflate)
 
 
 # --- pattern containment ---------------------------------------------------
@@ -414,6 +414,13 @@ def test_inflate_equals_the_substitution_fold(tree, leaf_root):
     assert inflate(shape) == want
     assert inflate([(root if kids else leaf_root, kids, object())
                     for root, kids in shape]) == want
+
+
+def test_inflate_equals_the_value_order_placement_through_size_7():
+    for n in range(1, 8):
+        for p in perms_of_size(n):
+            shape = preorder(p, top_split)
+            assert inflate(shape) == value_order_inflate(shape) == p
 
 
 def test_top_split_matches_the_rank_route_through_size_8():

@@ -28,9 +28,11 @@ from permspec import (
     sample_exact,
 )
 from permspec import perms, sampler
-from permspec.perms import InvalidInputError, avoids, inflate, substitute
+from permspec.perms import (InvalidInputError, avoids, inflate, preorder,
+                            substitute, top_split)
 
-from conftest import BASIS_132, BASIS_ONE_SIMPLE, CORPUS, pc, recurse
+from conftest import (BASIS_132, BASIS_ONE_SIMPLE, CORPUS, pc, recurse,
+                      value_order_inflate)
 
 
 @pytest.fixture(scope="module")
@@ -601,3 +603,65 @@ def test_boltzmann_deep_chain_needs_no_recursion():
     p = sample_boltzmann(state, 0.9995, (1900, 2100))
     assert 1900 <= len(p) <= 2100
     assert p == Perm(tuple(range(1, len(p) + 1)))
+
+
+# --- inflate against the value-order placement it replaced -----------------
+
+def exact_shapes(system, n, draws):
+    """The shapes of the first exact draws of size n at seed 0."""
+    table = count_coefficients(system, n)
+    state = SamplerState(system, table, seed=0)
+    return [sampler._exact_shape(state, n,
+                                 state.rng.randrange(table.root_count(n)))
+            for _ in range(draws)]
+
+
+def boltzmann_shapes(system, z, window, draws):
+    """The shapes of the first kept Boltzmann draws at seed 0."""
+    state = SamplerState(system, seed=0)
+    table = sampler._weight_table(system, evaluate_series(system, z), z)
+    shapes = []
+    while len(shapes) < draws:
+        shape = sampler._draw_shape(state.rng.random, table, state._start,
+                                    *window)
+        if shape is not None:
+            shapes.append(shape)
+    return shapes
+
+
+def test_inflate_equals_the_value_order_placement_on_draws(stream_systems):
+    # Every exact and Boltzmann stream the benchmark draws.
+    shapes = [shape for name, n in EXACT_STREAMS
+              for shape in exact_shapes(stream_systems[name], n, 20)]
+    shapes += [shape for name, z, window in BOLTZMANN_STREAMS
+               for shape in boltzmann_shapes(stream_systems[name], z, window,
+                                             20)]
+    assert [inflate(shape) for shape in shapes] == \
+        [value_order_inflate(shape) for shape in shapes]
+    children = Counter(len(entry[1]) for shape in shapes for entry in shape)
+    assert children[2] and any(k > 2 for k in children)
+
+
+def test_inflate_reads_value_orders_only_at_simple_roots(
+        systems_132, systems_one_simple, monkeypatch):
+    # Linear nodes are placed by one comparison; only a root with more than
+    # two children reads its value order, once.  The identity's split is
+    # the uncached one, so its 2000 parts stay out of top_split's cache.
+    identity = preorder(Perm(range(1, 2001)), top_split.__wrapped__)
+    av132 = exact_shapes(systems_132[1], 150, 1)[0]
+    w = exact_shapes(systems_one_simple[1], 150, 5)
+    calls, order = [], perms._value_order
+
+    def counting(p):
+        calls.append(p)
+        return order(p)
+    monkeypatch.setattr(perms, "_value_order", counting)
+    for shape in (identity, av132):
+        inflate(shape)
+        assert calls == []
+    simple = 0
+    for shape in w:
+        inflate(shape)
+        simple += sum(len(entry[1]) > 2 for entry in shape)
+        assert len(calls) == simple
+    assert simple > 0
